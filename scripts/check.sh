@@ -20,6 +20,11 @@ cmake -B build -S .
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
+# Repository benchmark self-test (under a minute): percentile selection, the
+# output checks, tiny traced and untraced runs of every workload, and the
+# --break-output runs whose checks must fail.
+python3 perfbench/run.py --selftest
+
 # Solve-budget gate: the fig03/1250 shape under a 1 ms budget must come back
 # kDegraded with the solver abandoning the round inside 2x the budget (the
 # strict wall bound only arms on this release binary; sanitizer legs run the

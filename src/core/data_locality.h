@@ -6,12 +6,24 @@
 #ifndef SRC_CORE_DATA_LOCALITY_H_
 #define SRC_CORE_DATA_LOCALITY_H_
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/core/cluster.h"
 #include "src/core/types.h"
 
 namespace firmament {
+
+// Where a task's input lives, tallied per machine and per rack: everything
+// the Quincy policy prices preference arcs from.
+struct TaskInputProfile {
+  // (machine, bytes on it) for every candidate machine, ascending by id.
+  std::vector<std::pair<MachineId, int64_t>> machines;
+  // (rack, bytes anywhere in it) for every rack holding any of the input,
+  // ascending by id.
+  std::vector<std::pair<RackId, int64_t>> racks;
+};
 
 class DataLocalityInterface {
  public:
@@ -25,6 +37,32 @@ class DataLocalityInterface {
   // targets for preference arcs.
   virtual void CandidateMachines(const TaskDescriptor& task,
                                  std::vector<MachineId>* out) const = 0;
+  // Fills `out` (cleared first) with the per-machine and per-rack byte
+  // tallies of `task`'s input: one entry per candidate machine and one per
+  // rack of a candidate machine, each list ascending by id. Equivalent to
+  // CandidateMachines followed by BytesOnMachine / BytesInRack on every
+  // entry — which is exactly what this default does, so sources that only
+  // answer the per-machine queries keep working. Sources that can tally
+  // the input in one pass (BlockStore) override it: the per-entry queries
+  // rescan the whole input each time.
+  virtual void InputProfile(const TaskDescriptor& task, const ClusterState& cluster,
+                            TaskInputProfile* out) const {
+    out->machines.clear();
+    out->racks.clear();
+    std::vector<MachineId> candidates;
+    CandidateMachines(task, &candidates);
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+    for (MachineId machine : candidates) {
+      out->machines.emplace_back(machine, BytesOnMachine(task, machine));
+      out->racks.emplace_back(cluster.RackOf(machine), 0);
+    }
+    std::sort(out->racks.begin(), out->racks.end());
+    out->racks.erase(std::unique(out->racks.begin(), out->racks.end()), out->racks.end());
+    for (auto& [rack, bytes] : out->racks) {
+      bytes = BytesInRack(task, rack);
+    }
+  }
   // Appends the blocks with a replica currently on `machine` and returns
   // true. Feeds the Quincy policy's block -> task reverse index: on a
   // machine removal, only tasks reading one of these blocks can see their

@@ -106,37 +106,39 @@ bool FlowGraphManager::RemoveMachine(MachineId machine) {
 
 void FlowGraphManager::InvalidateClass(EquivClass ec) {
   auto it = ec_cache_.find(ec);
-  if (it == ec_cache_.end()) {
-    return;
+  if (it != ec_cache_.end()) {
+    EvictClass(it);
   }
-  for (const ArcSpec& spec : it->second) {
-    auto idx = ec_dst_index_.find(spec.dst);
-    if (idx != ec_dst_index_.end()) {
-      idx->second.erase(ec);
-      if (idx->second.empty()) {
-        ec_dst_index_.erase(idx);
-      }
-    }
-  }
+}
+
+void FlowGraphManager::EvictClass(ClassCache::iterator it) {
+  ec_cached_arcs_ -= it->second.arcs.size();
   ec_cache_.erase(it);
   ++update_stats_.classes_invalidated;
+  MaybeCompactClassIndex();
 }
 
 void FlowGraphManager::InvalidateClassesReferencing(NodeId dst) {
-  auto idx = ec_dst_index_.find(dst);
-  if (idx == ec_dst_index_.end()) {
+  if (dst >= ec_dst_index_.size() || ec_dst_index_[dst].empty()) {
     return;
   }
-  // InvalidateClass mutates the index; detach the class set first.
-  std::unordered_set<EquivClass> classes = std::move(idx->second);
-  ec_dst_index_.erase(idx);
-  for (EquivClass ec : classes) {
-    InvalidateClass(ec);
+  // The node is leaving the graph (its id may be recycled), so its whole
+  // list goes; detaching it first also keeps it out of any compaction the
+  // evictions below trigger.
+  std::vector<ClassRef> refs;
+  refs.swap(ec_dst_index_[dst]);
+  ec_index_entries_ -= refs.size();
+  for (const ClassRef& ref : refs) {
+    auto it = ec_cache_.find(ref.ec);
+    if (it == ec_cache_.end() || it->second.gen != ref.gen) {
+      continue;  // stale: that incarnation was evicted (and fired) already
+    }
+    EvictClass(it);
     // Node removal is a semantic invalidation: cached placements built on
     // the class's arcs are stale too (unlike refcount eviction, which fires
     // precisely when a recurring job's template must survive).
     if (on_class_invalidated_) {
-      on_class_invalidated_(ec);
+      on_class_invalidated_(ref.ec);
     }
   }
 }
@@ -145,14 +147,38 @@ void FlowGraphManager::ClearClassCache() {
   update_stats_.classes_invalidated += ec_cache_.size();
   ec_cache_.clear();
   ec_dst_index_.clear();
+  ec_index_entries_ = 0;
+  ec_cached_arcs_ = 0;
   if (on_class_cache_cleared_) {
     on_class_cache_cleared_();
   }
 }
 
-void FlowGraphManager::IndexClassArcs(EquivClass ec, const std::vector<ArcSpec>& arcs) {
-  for (const ArcSpec& spec : arcs) {
-    ec_dst_index_[spec.dst].insert(ec);
+void FlowGraphManager::IndexClassArcs(EquivClass ec, CachedClass* entry) {
+  entry->gen = ++ec_next_gen_;
+  ec_cached_arcs_ += entry->arcs.size();
+  ec_index_entries_ += entry->arcs.size();
+  if (ec_dst_index_.size() < network_.NodeCapacity()) {
+    ec_dst_index_.resize(network_.NodeCapacity());
+  }
+  for (const ArcSpec& spec : entry->arcs) {
+    ec_dst_index_[spec.dst].push_back({ec, entry->gen});
+  }
+  MaybeCompactClassIndex();
+}
+
+void FlowGraphManager::MaybeCompactClassIndex() {
+  if (ec_index_entries_ <= ClassIndexBound()) {
+    return;
+  }
+  auto stale = [this](const ClassRef& ref) {
+    auto it = ec_cache_.find(ref.ec);
+    return it == ec_cache_.end() || it->second.gen != ref.gen;
+  };
+  ec_index_entries_ = 0;
+  for (std::vector<ClassRef>& refs : ec_dst_index_) {
+    refs.erase(std::remove_if(refs.begin(), refs.end(), stale), refs.end());
+    ec_index_entries_ += refs.size();
   }
 }
 
@@ -499,25 +525,37 @@ size_t FlowGraphManager::CheckIntegrity(std::vector<std::string>* violations) co
   }
   // Cross-round class cache: every cached spec must target a live node and
   // be findable through the dst index (else a node removal could not
-  // invalidate it), and the index must not point at evicted entries.
-  for (const auto& [ec, arcs] : ec_cache_) {
+  // invalidate it). The index is lazy — evicted classes leave stale entries
+  // until compaction — so rather than pointing only at cached entries it
+  // must stay within its size bound, which keeps it O(live cache).
+  auto ref_less = [](const ClassRef& a, const ClassRef& b) {
+    return a.ec != b.ec ? a.ec < b.ec : a.gen < b.gen;
+  };
+  std::vector<std::vector<ClassRef>> sorted_index = ec_dst_index_;
+  size_t index_entries = 0;
+  for (std::vector<ClassRef>& refs : sorted_index) {
+    std::sort(refs.begin(), refs.end(), ref_less);
+    index_entries += refs.size();
+  }
+  size_t cached_arcs = 0;
+  for (const auto& [ec, entry] : ec_cache_) {
     const std::string who = "class " + std::to_string(ec);
     // Entries exist only while the class has live members (the refcounts
     // evict at zero, so an unpopulated class can never serve stale arcs).
     expect(ec_refcount_.count(ec) != 0, (who + ": cached without live members").c_str());
-    for (const ArcSpec& spec : arcs) {
+    for (const ArcSpec& spec : entry.arcs) {
       expect(network_.IsValidNode(spec.dst), (who + ": cached spec targets dead node").c_str());
-      auto idx = ec_dst_index_.find(spec.dst);
-      expect(idx != ec_dst_index_.end() && idx->second.count(ec) != 0,
+      expect(spec.dst < sorted_index.size() &&
+                 std::binary_search(sorted_index[spec.dst].begin(), sorted_index[spec.dst].end(),
+                                    ClassRef{ec, entry.gen}, ref_less),
              (who + ": cached spec missing from dst index").c_str());
     }
+    cached_arcs += entry.arcs.size();
     ++verified;
   }
-  for (const auto& [dst, classes] : ec_dst_index_) {
-    for (EquivClass ec : classes) {
-      expect(ec_cache_.count(ec) != 0, "dst index points at evicted class entry");
-    }
-  }
+  expect(index_entries == ec_index_entries_ && cached_arcs == ec_cached_arcs_,
+         "class cache size counters out of sync");
+  expect(index_entries <= ClassIndexBound(), "dst index above its O(live) size bound");
   return verified;
 }
 
@@ -543,6 +581,8 @@ void FlowGraphManager::RebuildFromCluster(SimTime now) {
   marks_.Clear();
   ec_cache_.clear();
   ec_dst_index_.clear();
+  ec_index_entries_ = 0;
+  ec_cached_arcs_ = 0;
   ec_refcount_.clear();
   ramp_heap_ = {};
   update_stats_ = UpdateRoundStats{};
@@ -641,7 +681,7 @@ void FlowGraphManager::RefreshTasksSharded(const std::vector<TaskId>& tasks, Sim
       auto cached = ec_cache_.find(plan.ec);
       if (cached != ec_cache_.end()) {
         ++shard.stats.class_cache_hits;
-        class_arcs = cached->second.size();
+        class_arcs = cached->second.arcs.size();
       } else {
         auto [memo_it, inserted] = shard.memo.try_emplace(plan.ec);
         if (inserted) {
@@ -709,21 +749,22 @@ void FlowGraphManager::ApplyTaskPlan(UpdateShard* shard, TaskRefreshPlan* plan, 
     if (memo_it != shard->memo.end()) {
       // First applying task of the class adopts its shard's computed specs
       // (other shards' redundant copies simply go unused).
-      cache_it->second = std::move(memo_it->second);
+      cache_it->second.arcs = std::move(memo_it->second);
       shard->memo.erase(memo_it);
     } else {
       // The entry this plan relied on is gone: either the compute phase saw
       // it cached and a class-switching task just evicted it (last-ref
       // release), or the same shard's copy was consumed and then evicted.
       // Recompute inline — exactly what the serial path would do here.
-      policy_->EquivClassArcs(task, now, &cache_it->second);
+      policy_->EquivClassArcs(task, now, &cache_it->second.arcs);
     }
-    IndexClassArcs(ec, cache_it->second);
+    IndexClassArcs(ec, &cache_it->second);
     ++update_stats_.class_cache_misses;
   } else {
     ++update_stats_.class_cache_hits;
   }
-  scratch_specs_.insert(scratch_specs_.end(), cache_it->second.begin(), cache_it->second.end());
+  scratch_specs_.insert(scratch_specs_.end(), cache_it->second.arcs.begin(),
+                        cache_it->second.arcs.end());
   update_stats_.task_arcs_applied += scratch_specs_.size();
   DiffArcs(info.node, scratch_specs_, &info.arcs);
 

@@ -14,16 +14,16 @@
 // *cross-round* per-equivalence-class arc cache so identical tasks cost one
 // policy call per class while the class stays populated, not per round.
 // Cache entries are invalidated from deltas: the manager drops every class
-// whose cached arcs reference a node leaving the graph (the dst -> classes
-// reverse index below), the policy marks classes whose arc costs moved
+// whose cached arcs reference a node leaving the graph (the lazy dst ->
+// classes index below), the policy marks classes whose arc costs moved
 // without a node disappearing (PolicyDirtySink::MarkEquivClass), and an
 // entry is evicted with its class's last live member — an unpopulated
 // class has no task left to carry an invalidation mark, so its inputs
-// could drift unobserved until an identical resubmission hit stale arcs. Time-varying unscheduled costs advance
-// through the policies' declarative ramps: a bucket-ordered heap pokes only
-// the arcs of tasks that crossed a bucket boundary. Everything else keeps
-// last round's arcs verbatim, making the graph-update pass O(|changed|)
-// instead of O(cluster).
+// could drift unobserved until an identical resubmission hit stale arcs.
+// Time-varying unscheduled costs advance through the policies' declarative
+// ramps: a bucket-ordered heap pokes only the arcs of tasks that crossed a
+// bucket boundary. Everything else keeps last round's arcs verbatim, making
+// the graph-update pass O(|changed|) instead of O(cluster).
 
 #ifndef SRC_CORE_FLOW_GRAPH_MANAGER_H_
 #define SRC_CORE_FLOW_GRAPH_MANAGER_H_
@@ -37,7 +37,6 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -156,6 +155,13 @@ class FlowGraphManager {
   // events between rounds are attributed to the round that absorbs them).
   const UpdateRoundStats& last_update_stats() const { return last_update_stats_; }
   size_t class_cache_size() const { return ec_cache_.size(); }
+  // Arc specs held by the class cache, and entries in its lazy dst index
+  // (stale ones included). Compaction keeps the index within
+  // 2 * class_cache_arcs() + kClassIndexSlackPerNode per node slot, so its
+  // memory stays O(live cache); CheckIntegrity verifies the bound.
+  size_t class_cache_arcs() const { return ec_cached_arcs_; }
+  size_t class_index_entries() const { return ec_index_entries_; }
+  static constexpr size_t kClassIndexSlackPerNode = 2;
 
   // --- Class-invalidation listeners (placement templates) -----------------
   // The scheduler's placement-template cache keys whole cached placements on
@@ -340,14 +346,40 @@ class FlowGraphManager {
   void PurgeArcsTo(NodeId node);
   // Drops every (dst, rank) entry pointing at `dst` from an arc map.
   static void EraseArcsTo(ArcMap* arcs, NodeId dst);
-  // Erases one class from the cross-round cache (and the dst index).
+  // Cross-round class-cache entry: the shared arc specs plus the stamp that
+  // tells this incarnation of the class apart from earlier ones in the dst
+  // index (specs never change while cached).
+  struct CachedClass {
+    std::vector<ArcSpec> arcs;
+    uint64_t gen = 0;
+  };
+  using ClassCache = std::unordered_map<EquivClass, CachedClass>;
+  // One dst-index entry: class `ec`, as cached under stamp `gen`, has an arc
+  // to the list's node. Live iff the cache still holds `ec` at `gen`.
+  struct ClassRef {
+    EquivClass ec = 0;
+    uint64_t gen = 0;
+  };
+  // Erases one class from the cross-round cache (index entries go stale).
   void InvalidateClass(EquivClass ec);
-  // Erases every class whose cached arcs reference `dst`.
+  void EvictClass(ClassCache::iterator it);
+  // Erases every class whose cached arcs reference `dst` (a node leaving the
+  // graph): the live entries of dst's index list.
   void InvalidateClassesReferencing(NodeId dst);
   // Drops the whole cache (full refreshes and MarkAllTasks/-EquivClasses).
   void ClearClassCache();
-  // Registers a freshly computed class entry in the dst index.
-  void IndexClassArcs(EquivClass ec, const std::vector<ArcSpec>& arcs);
+  // Stamps a freshly computed class entry and appends it to the index list
+  // of every node its arcs target.
+  void IndexClassArcs(EquivClass ec, CachedClass* entry);
+  // Largest index size compaction tolerates: twice the cached arcs plus
+  // kClassIndexSlackPerNode per node slot.
+  size_t ClassIndexBound() const {
+    return 2 * ec_cached_arcs_ + kClassIndexSlackPerNode * ec_dst_index_.size();
+  }
+  // Drops every stale entry once the index outgrows ClassIndexBound(). Each
+  // compaction removes at least half the index, so its cost amortizes to
+  // O(1) per eviction.
+  void MaybeCompactClassIndex();
   // Drops one live-member reference; evicts the cache entry at zero.
   void ReleaseClassRef(EquivClass ec);
 
@@ -378,12 +410,22 @@ class FlowGraphManager {
   PolicyUpdate update_;  // reused across rounds
 
   // Cross-round equivalence-class arc cache: class key -> shared arc specs,
-  // reused verbatim until invalidated. ec_dst_index_ is the reverse index
-  // (arc destination -> classes whose cached specs reference it) that node
-  // removals invalidate through; with persistent_class_cache=false the
-  // cache degenerates to the legacy per-round one (cleared every round).
-  std::unordered_map<EquivClass, std::vector<ArcSpec>> ec_cache_;
-  std::unordered_map<NodeId, std::unordered_set<EquivClass>> ec_dst_index_;
+  // reused verbatim until invalidated; with persistent_class_cache=false it
+  // degenerates to the legacy per-round cache (cleared every round).
+  //
+  // ec_dst_index_ is the reverse index node removals invalidate through:
+  // per NodeId, the classes whose cached specs target that node. It is
+  // lazy so that caching or evicting a class costs no hash-set traffic:
+  // caching appends one entry per arc, eviction only erases the cache entry
+  // and leaves its index entries stale. A node removal takes the node's
+  // list whole and evicts the entries still live (cached at the same
+  // stamp); MaybeCompactClassIndex drops the stale rest once they outnumber
+  // the live ones.
+  ClassCache ec_cache_;
+  std::vector<std::vector<ClassRef>> ec_dst_index_;
+  size_t ec_index_entries_ = 0;  // sum of the index lists' sizes
+  size_t ec_cached_arcs_ = 0;    // sum of the cached entries' arc counts
+  uint64_t ec_next_gen_ = 0;
   // Live tasks per class (from TaskInfo::ec). When the count hits zero the
   // class's cache entry is evicted: an unpopulated class has no task left
   // to carry an invalidation mark, so its inputs could silently drift

@@ -234,22 +234,28 @@ int64_t QuincyPolicy::MachineTransferCost(const TaskDescriptor& task, MachineId 
   if (locality_ == nullptr || task.input_size_bytes == 0) {
     return 0;
   }
-  RackId rack = cluster_->RackOf(machine);
-  int64_t on_machine = locality_->BytesOnMachine(task, machine);
-  int64_t in_rack = locality_->BytesInRack(task, rack);
-  int64_t rack_remote = in_rack - on_machine;
-  int64_t cluster_remote = task.input_size_bytes - in_rack;
-  return CostForBytes(rack_remote, params_.cost_per_gb_in_rack) +
-         CostForBytes(cluster_remote, params_.cost_per_gb_cross_rack);
+  return MachineCostForBytes(task, locality_->BytesOnMachine(task, machine),
+                             locality_->BytesInRack(task, cluster_->RackOf(machine)));
 }
 
 int64_t QuincyPolicy::RackTransferCost(const TaskDescriptor& task, RackId rack) const {
   if (locality_ == nullptr || task.input_size_bytes == 0) {
     return 0;
   }
+  return RackCostForBytes(task, locality_->BytesInRack(task, rack));
+}
+
+int64_t QuincyPolicy::MachineCostForBytes(const TaskDescriptor& task, int64_t on_machine,
+                                          int64_t in_rack) const {
+  int64_t rack_remote = in_rack - on_machine;
+  int64_t cluster_remote = task.input_size_bytes - in_rack;
+  return CostForBytes(rack_remote, params_.cost_per_gb_in_rack) +
+         CostForBytes(cluster_remote, params_.cost_per_gb_cross_rack);
+}
+
+int64_t QuincyPolicy::RackCostForBytes(const TaskDescriptor& task, int64_t in_rack) const {
   // Worst case within the rack: none of the rack-resident bytes are on the
   // chosen machine.
-  int64_t in_rack = locality_->BytesInRack(task, rack);
   int64_t cluster_remote = task.input_size_bytes - in_rack;
   return CostForBytes(in_rack, params_.cost_per_gb_in_rack) +
          CostForBytes(cluster_remote, params_.cost_per_gb_cross_rack);
@@ -286,28 +292,35 @@ void QuincyPolicy::EquivClassArcs(const TaskDescriptor& representative, SimTime 
     return;
   }
 
+  // One tally of the input per candidate machine and rack; every price
+  // below is read from it instead of rescanning the input per candidate.
+  TaskInputProfile profile;
+  locality_->InputProfile(task, *cluster_, &profile);
+  // Racks of the alive candidates, parallel to profile.racks.
+  std::vector<char> rack_is_candidate(profile.racks.size(), 0);
+
   // Machine preference arcs: machines holding >= threshold of the input.
-  std::vector<MachineId> candidates;
-  locality_->CandidateMachines(task, &candidates);
   std::vector<ArcSpec> machine_arcs;
-  std::vector<std::pair<int64_t, RackId>> rack_costs;  // deduped below
-  std::vector<RackId> candidate_racks;
-  for (MachineId machine : candidates) {
+  for (const auto& [machine, on_machine] : profile.machines) {
     if (!cluster_->machine(machine).alive) {
       continue;
     }
-    double fraction = static_cast<double>(locality_->BytesOnMachine(task, machine)) /
-                      static_cast<double>(task.input_size_bytes);
+    RackId rack = cluster_->RackOf(machine);
+    auto rack_it = std::lower_bound(
+        profile.racks.begin(), profile.racks.end(), rack,
+        [](const std::pair<RackId, int64_t>& entry, RackId id) { return entry.first < id; });
+    const bool rack_listed = rack_it != profile.racks.end() && rack_it->first == rack;
+    int64_t in_rack = rack_listed ? rack_it->second : 0;
+    double fraction =
+        static_cast<double>(on_machine) / static_cast<double>(task.input_size_bytes);
     if (fraction >= params_.machine_preference_threshold) {
       NodeId node = manager_->NodeForMachine(machine);
       if (node != kInvalidNodeId) {
-        machine_arcs.push_back({node, 1, MachineTransferCost(task, machine), 0});
+        machine_arcs.push_back({node, 1, MachineCostForBytes(task, on_machine, in_rack), 0});
       }
     }
-    RackId rack = cluster_->RackOf(machine);
-    if (std::find(candidate_racks.begin(), candidate_racks.end(), rack) ==
-        candidate_racks.end()) {
-      candidate_racks.push_back(rack);
+    if (rack_listed) {
+      rack_is_candidate[static_cast<size_t>(rack_it - profile.racks.begin())] = 1;
     }
   }
   std::sort(machine_arcs.begin(), machine_arcs.end(),
@@ -318,11 +331,15 @@ void QuincyPolicy::EquivClassArcs(const TaskDescriptor& representative, SimTime 
   out->insert(out->end(), machine_arcs.begin(), machine_arcs.end());
 
   // Rack preference arcs: racks holding >= threshold of the input.
-  for (RackId rack : candidate_racks) {
-    double fraction = static_cast<double>(locality_->BytesInRack(task, rack)) /
-                      static_cast<double>(task.input_size_bytes);
+  std::vector<std::pair<int64_t, RackId>> rack_costs;
+  for (size_t i = 0; i < profile.racks.size(); ++i) {
+    if (!rack_is_candidate[i]) {
+      continue;
+    }
+    const auto& [rack, in_rack] = profile.racks[i];
+    double fraction = static_cast<double>(in_rack) / static_cast<double>(task.input_size_bytes);
     if (fraction >= params_.rack_preference_threshold) {
-      rack_costs.push_back({RackTransferCost(task, rack), rack});
+      rack_costs.push_back({RackCostForBytes(task, in_rack), rack});
     }
   }
   std::sort(rack_costs.begin(), rack_costs.end());

@@ -90,6 +90,12 @@ class QuincyPolicy : public SchedulingPolicy {
 
  private:
   static std::string RackKey(RackId rack) { return "rack:" + std::to_string(rack); }
+  // The transfer-cost formulas behind MachineTransferCost/RackTransferCost,
+  // from byte counts already tallied (EquivClassArcs reads them from one
+  // DataLocalityInterface::InputProfile call).
+  int64_t MachineCostForBytes(const TaskDescriptor& task, int64_t on_machine,
+                              int64_t in_rack) const;
+  int64_t RackCostForBytes(const TaskDescriptor& task, int64_t in_rack) const;
 
   const ClusterState* cluster_;
   const DataLocalityInterface* locality_;

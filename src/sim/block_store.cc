@@ -6,6 +6,25 @@
 
 namespace firmament {
 
+namespace {
+
+// Sorts (id, bytes) tallies by id and sums the entries of each id.
+template <typename Id>
+void MergeTallies(std::vector<std::pair<Id, int64_t>>* tallies) {
+  std::sort(tallies->begin(), tallies->end());
+  size_t out = 0;
+  for (size_t i = 0; i < tallies->size(); ++i) {
+    if (out > 0 && (*tallies)[out - 1].first == (*tallies)[i].first) {
+      (*tallies)[out - 1].second += (*tallies)[i].second;
+    } else {
+      (*tallies)[out++] = (*tallies)[i];
+    }
+  }
+  tallies->resize(out);
+}
+
+}  // namespace
+
 std::vector<uint64_t> BlockStore::AllocateInput(int64_t bytes) {
   std::vector<uint64_t> ids;
   const std::vector<MachineDescriptor>& machines = cluster_->machines();
@@ -92,6 +111,31 @@ void BlockStore::CandidateMachines(const TaskDescriptor& task,
   }
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
+void BlockStore::InputProfile(const TaskDescriptor& task, const ClusterState& cluster,
+                              TaskInputProfile* out) const {
+  (void)cluster;
+  out->machines.clear();
+  out->racks.clear();
+  for (uint64_t id : task.input_blocks) {
+    const Block& block = blocks_[id];
+    for (size_t r = 0; r < block.replicas.size(); ++r) {
+      const MachineId machine = block.replicas[r];
+      out->machines.emplace_back(machine, block.size);
+      // A block counts once per rack, however many replicas share it.
+      const RackId rack = cluster_->RackOf(machine);
+      bool counted = false;
+      for (size_t q = 0; q < r && !counted; ++q) {
+        counted = cluster_->RackOf(block.replicas[q]) == rack;
+      }
+      if (!counted) {
+        out->racks.emplace_back(rack, block.size);
+      }
+    }
+  }
+  MergeTallies(&out->machines);
+  MergeTallies(&out->racks);
 }
 
 }  // namespace firmament

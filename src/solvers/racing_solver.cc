@@ -139,7 +139,11 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
       cancel_cs.store(true, std::memory_order_relaxed);
     }
   }
+  // When relaxation won, this waits for the cancelled cost-scaling leg to
+  // reach its next cancellation check.
+  WallTimer loser_wait_timer;
   cs_ticket.Wait();
+  last_round_.loser_wait_us = loser_wait_timer.ElapsedMicros();
   cs_stats.dispatch_us = dispatch_us.load(std::memory_order_relaxed);
 
   last_round_.relaxation = relax_stats;
@@ -162,11 +166,18 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
     // Hand the solution to incremental cost scaling for the next round. With
     // price refine (§6.2) we recompute reduced potentials from the flow;
     // without it (Fig. 13 ablation) cost scaling inherits relaxation's raw,
-    // typically much larger, potentials.
+    // typically much larger, potentials. Refine runs on relaxation's own
+    // view: after the writeback it holds exactly the network's structure
+    // and flow, and shortest-path distances depend neither on adjacency
+    // order nor on tombstoned arcs (zero residual), so the potentials equal
+    // PriceRefine(*network)'s without building a third view this round.
     WallTimer refine_timer;
     if (options_.price_refine_on_handoff) {
+      const FlowNetworkView& view = relaxation_.view();
+      std::vector<int64_t> dense;
+      CHECK(ComputeOptimalPotentials(view, &dense));
       std::vector<int64_t> refined;
-      CHECK(PriceRefine(*network, &refined));
+      view.ScatterPotentials(dense, &refined);
       cost_scaling_.ImportPotentials(std::move(refined));
     } else {
       cost_scaling_.ImportPotentials(relaxation_.potentials());

@@ -71,6 +71,10 @@ struct RoundStats {
   SolveStats relaxation;
   SolveStats cost_scaling;
   uint64_t price_refine_us = 0;
+  // Race only: time the round waited for the cost-scaling leg after the
+  // relaxation leg returned (when relaxation won, the cancelled leg's run
+  // to its next cancellation check).
+  uint64_t loser_wait_us = 0;
 };
 
 class RacingSolver {

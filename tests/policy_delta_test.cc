@@ -10,6 +10,7 @@
 // ClusterState statistics, and the declarative unscheduled-cost ramps.
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -850,6 +851,350 @@ TEST(PolicyDeltaTest, PerRoundCacheModeStaysEquivalent) {
   scheduler.graph_manager().UpdateRound(now);
   ExpectDeltaMatchesFullRefresh(Policy::kQuincyWithLocality, cluster, &store,
                                 scheduler.graph_manager(), now, "per-round cache mode");
+}
+
+// ---------------------------------------------------------------------------
+// One-pass Quincy pricing (DataLocalityInterface::InputProfile)
+// ---------------------------------------------------------------------------
+
+// A locality source answering only the four per-machine queries, so the
+// policy runs on the interface's default InputProfile.
+class PerMachineQueriesOnly : public DataLocalityInterface {
+ public:
+  explicit PerMachineQueriesOnly(const BlockStore* store) : store_(store) {}
+  int64_t BytesOnMachine(const TaskDescriptor& task, MachineId machine) const override {
+    return store_->BytesOnMachine(task, machine);
+  }
+  int64_t BytesInRack(const TaskDescriptor& task, RackId rack) const override {
+    return store_->BytesInRack(task, rack);
+  }
+  void CandidateMachines(const TaskDescriptor& task, std::vector<MachineId>* out) const override {
+    store_->CandidateMachines(task, out);
+  }
+  bool BlocksOnMachine(MachineId machine, std::vector<uint64_t>* out) const override {
+    return store_->BlocksOnMachine(machine, out);
+  }
+
+ private:
+  const BlockStore* store_;
+};
+
+// Quincy class arcs priced candidate by candidate through the per-machine
+// queries and the public transfer-cost functions: the reference the
+// one-pass pricing must reproduce arc for arc, in order.
+std::vector<ArcSpec> PerCandidateQuincyArcs(const QuincyPolicy& policy,
+                                            const QuincyPolicyParams& params,
+                                            const ClusterState& cluster,
+                                            const DataLocalityInterface& locality,
+                                            const FlowGraphManager& manager,
+                                            const TaskDescriptor& task) {
+  std::vector<ArcSpec> out;
+  out.push_back({manager.FindAggregator("cluster"), 1, policy.ClusterTransferCost(task), 0});
+  if (task.input_size_bytes == 0) {
+    return out;
+  }
+  const double input = static_cast<double>(task.input_size_bytes);
+  std::vector<MachineId> candidates;
+  locality.CandidateMachines(task, &candidates);
+  std::vector<ArcSpec> machine_arcs;
+  std::vector<RackId> candidate_racks;
+  for (MachineId machine : candidates) {
+    if (!cluster.machine(machine).alive) {
+      continue;
+    }
+    if (static_cast<double>(locality.BytesOnMachine(task, machine)) / input >=
+        params.machine_preference_threshold) {
+      NodeId node = manager.NodeForMachine(machine);
+      if (node != kInvalidNodeId) {
+        machine_arcs.push_back({node, 1, policy.MachineTransferCost(task, machine), 0});
+      }
+    }
+    RackId rack = cluster.RackOf(machine);
+    if (std::find(candidate_racks.begin(), candidate_racks.end(), rack) ==
+        candidate_racks.end()) {
+      candidate_racks.push_back(rack);
+    }
+  }
+  std::sort(machine_arcs.begin(), machine_arcs.end(),
+            [](const ArcSpec& a, const ArcSpec& b) { return a.cost < b.cost; });
+  if (machine_arcs.size() > static_cast<size_t>(params.max_machine_preference_arcs)) {
+    machine_arcs.resize(static_cast<size_t>(params.max_machine_preference_arcs));
+  }
+  out.insert(out.end(), machine_arcs.begin(), machine_arcs.end());
+  std::vector<std::pair<int64_t, RackId>> rack_costs;
+  for (RackId rack : candidate_racks) {
+    if (static_cast<double>(locality.BytesInRack(task, rack)) / input >=
+        params.rack_preference_threshold) {
+      rack_costs.push_back({policy.RackTransferCost(task, rack), rack});
+    }
+  }
+  std::sort(rack_costs.begin(), rack_costs.end());
+  if (rack_costs.size() > static_cast<size_t>(params.max_rack_preference_arcs)) {
+    rack_costs.resize(static_cast<size_t>(params.max_rack_preference_arcs));
+  }
+  for (const auto& [cost, rack] : rack_costs) {
+    NodeId rack_node = manager.FindAggregator("rack:" + std::to_string(rack));
+    if (rack_node != kInvalidNodeId) {
+      out.push_back({rack_node, 1, cost, 0});
+    }
+  }
+  return out;
+}
+
+std::string ArcsLabel(const std::vector<ArcSpec>& arcs) {
+  std::string label;
+  for (const ArcSpec& arc : arcs) {
+    label += "(" + std::to_string(arc.dst) + " cap=" + std::to_string(arc.capacity) +
+             " cost=" + std::to_string(arc.cost) + " rank=" + std::to_string(arc.rank) + ") ";
+  }
+  return label;
+}
+
+// Compares `policy`'s class arcs for every live task against the
+// per-candidate reference; returns the number of arcs compared.
+size_t ExpectPricingMatchesPerCandidate(QuincyPolicy& policy, const QuincyPolicyParams& params,
+                                        const ClusterState& cluster,
+                                        const DataLocalityInterface& locality,
+                                        const FlowGraphManager& manager, SimTime now,
+                                        const std::string& context) {
+  size_t compared = 0;
+  for (TaskId id : cluster.LiveTasks()) {
+    const TaskDescriptor& task = cluster.task(id);
+    std::vector<ArcSpec> got;
+    policy.EquivClassArcs(task, now, &got);
+    std::vector<ArcSpec> want =
+        PerCandidateQuincyArcs(policy, params, cluster, locality, manager, task);
+    EXPECT_EQ(ArcsLabel(got), ArcsLabel(want)) << context << ", task " << id;
+    compared += want.size();
+  }
+  return compared;
+}
+
+// The one-pass pricing must reproduce the per-candidate pricing arc for arc
+// — same destinations, costs and order — for the BlockStore's own profile
+// and for the interface's default profile built from the per-machine
+// queries, across machine removals (including the window where the cluster
+// already reads a machine dead but the store still lists its replicas).
+TEST(QuincyPricingTest, OnePassMatchesPerCandidateAcrossRemovals) {
+  ClusterState cluster;
+  BlockStore store(&cluster, 29, /*block_size_bytes=*/128'000'000);
+  QuincyPolicyParams params;
+  QuincyPolicy policy(&cluster, &store, params);
+  FirmamentScheduler scheduler(&cluster, &policy);
+  for (int r = 0; r < 5; ++r) {
+    RackId rack = cluster.AddRack();
+    for (int m = 0; m < 6; ++m) {
+      scheduler.AddMachine(rack, MachineSpec{.slots = 4});
+    }
+  }
+  PerMachineQueriesOnly queries_only(&store);
+  Rng rng(31);
+  SimTime now = 0;
+  size_t compared = 0;
+  size_t compared_default = 0;
+  for (int round = 0; round < 8; ++round) {
+    std::vector<TaskDescriptor> tasks(12);
+    for (TaskDescriptor& task : tasks) {
+      task.runtime = 1'000 * kSec;
+      task.input_size_bytes = round % 4 == 3 ? 0 : rng.NextInt(100'000'000, 1'200'000'000);
+      if (task.input_size_bytes > 0) {
+        task.input_blocks = store.AllocateInput(task.input_size_bytes);
+      }
+    }
+    scheduler.SubmitJob(JobType::kBatch, 0, std::move(tasks), now);
+    scheduler.RunSchedulingRound(now += kSec);
+    const std::string context = "round " + std::to_string(round);
+    compared += ExpectPricingMatchesPerCandidate(policy, params, cluster, store,
+                                                 scheduler.graph_manager(), now, context);
+
+    // The default profile, on a graph of its own over the same cluster.
+    QuincyPolicy default_policy(&cluster, &queries_only, params);
+    FlowGraphManager default_manager(&cluster, &default_policy);
+    for (const MachineDescriptor& machine : cluster.machines()) {
+      if (machine.alive) {
+        default_manager.AddMachine(machine.id);
+      }
+    }
+    compared_default +=
+        ExpectPricingMatchesPerCandidate(default_policy, params, cluster, queries_only,
+                                         default_manager, now, context + " (default profile)");
+
+    // Remove an alive machine; price again before the store drops its
+    // replicas, then after.
+    std::vector<MachineId> alive;
+    for (const MachineDescriptor& machine : cluster.machines()) {
+      if (machine.alive) {
+        alive.push_back(machine.id);
+      }
+    }
+    MachineId victim = alive[rng.NextUint64(alive.size())];
+    scheduler.RemoveMachine(victim, now);
+    compared += ExpectPricingMatchesPerCandidate(policy, params, cluster, store,
+                                                 scheduler.graph_manager(), now,
+                                                 context + " (replicas not yet dropped)");
+    store.OnMachineRemoved(victim);
+  }
+  // Non-trivial coverage: preference arcs beyond the cluster fallback.
+  EXPECT_GT(compared, 3 * 12 * 8 * 2);
+  EXPECT_GT(compared_default, 3 * 12 * 8);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy class-cache dst index
+// ---------------------------------------------------------------------------
+
+// Fresh-class bursts with completions evict classes every round; the lazy
+// index's stale entries must be compacted away so that it never holds more
+// than twice the cached arcs (plus the per-node slack), and the integrity
+// check must stay clean throughout.
+TEST(ClassIndexTest, StaysWithinTwiceLiveArcsOverFreshClassBursts) {
+  ClusterState cluster;
+  BlockStore store(&cluster, 37);
+  QuincyPolicy policy(&cluster, &store);
+  FirmamentScheduler scheduler(&cluster, &policy);
+  for (int r = 0; r < 4; ++r) {
+    RackId rack = cluster.AddRack();
+    for (int m = 0; m < 8; ++m) {
+      scheduler.AddMachine(rack, MachineSpec{.slots = 4});
+    }
+  }
+  const FlowGraphManager& manager = scheduler.graph_manager();
+  Rng rng(41);
+  SimTime now = 0;
+  std::vector<JobId> jobs;
+  size_t shrinks = 0;
+  size_t previous_entries = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<TaskDescriptor> tasks(6);
+    for (TaskDescriptor& task : tasks) {
+      task.runtime = 1'000 * kSec;
+      task.input_size_bytes = rng.NextInt(300'000'000, 1'500'000'000);
+      task.input_blocks = store.AllocateInput(task.input_size_bytes);
+    }
+    jobs.push_back(scheduler.SubmitJob(JobType::kBatch, 0, std::move(tasks), now));
+    if (jobs.size() > 8) {
+      // Complete the oldest job: its fresh classes lose their last member.
+      for (TaskId task : cluster.job(jobs.front()).tasks) {
+        if (cluster.HasTask(task)) {
+          scheduler.CompleteTask(task, now);
+        }
+      }
+      jobs.erase(jobs.begin());
+    }
+    scheduler.RunSchedulingRound(now += kSec);
+
+    const size_t entries = manager.class_index_entries();
+    const size_t bound = 2 * manager.class_cache_arcs() +
+                         FlowGraphManager::kClassIndexSlackPerNode *
+                             manager.network().NodeCapacity();
+    ASSERT_LE(entries, bound) << "round " << round;
+    std::vector<std::string> violations;
+    manager.CheckIntegrity(&violations);
+    ASSERT_TRUE(violations.empty()) << "round " << round << ": " << violations.front();
+    // No node leaves the graph's class arcs here, so only compaction can
+    // shrink the index.
+    shrinks += entries < previous_entries ? 1 : 0;
+    previous_entries = entries;
+  }
+  EXPECT_GT(shrinks, 0u) << "the bursts never drove the index to compaction";
+}
+
+// Removes `victim` and checks that exactly the cached classes whose arcs
+// target its node (or, when the removal drains the rack, the rack
+// aggregator's node) were evicted, each firing the invalidation listener
+// once. Returns the number of classes evicted.
+size_t ExpectRemovalEvictsReferencingClasses(FirmamentScheduler& scheduler, ClusterState& cluster,
+                                           QuincyPolicy& policy, BlockStore& store,
+                                           MachineId victim, bool drains_rack, SimTime now) {
+  FlowGraphManager& manager = scheduler.graph_manager();
+  const std::string rack_key = "rack:" + std::to_string(cluster.RackOf(victim));
+  std::set<NodeId> leaving = {manager.NodeForMachine(victim)};
+  if (drains_rack) {
+    EXPECT_TRUE(manager.HasAggregator(rack_key));
+    leaving.insert(manager.FindAggregator(rack_key));
+  }
+  std::set<EquivClass> live_classes;
+  std::set<EquivClass> expected;
+  for (TaskId id : cluster.LiveTasks()) {
+    const TaskDescriptor& task = cluster.task(id);
+    EquivClass ec = policy.TaskEquivClass(task);
+    live_classes.insert(ec);
+    std::vector<ArcSpec> arcs;
+    policy.EquivClassArcs(task, now, &arcs);
+    for (const ArcSpec& arc : arcs) {
+      if (leaving.count(arc.dst) != 0) {
+        expected.insert(ec);
+      }
+    }
+  }
+  EXPECT_EQ(manager.class_cache_size(), live_classes.size());
+  EXPECT_LT(expected.size(), live_classes.size()) << "removal must leave some classes cached";
+
+  std::map<EquivClass, int> fired;
+  manager.set_on_class_invalidated([&fired](EquivClass ec) { ++fired[ec]; });
+  scheduler.RemoveMachine(victim, now, [&store, victim] { store.OnMachineRemoved(victim); });
+  manager.set_on_class_invalidated(nullptr);
+
+  EXPECT_EQ(manager.HasAggregator(rack_key), !drains_rack);
+  std::set<EquivClass> evicted;
+  for (const auto& [ec, count] : fired) {
+    EXPECT_EQ(count, 1) << "class " << ec << " fired more than once";
+    evicted.insert(ec);
+  }
+  EXPECT_EQ(evicted, expected);
+  EXPECT_EQ(manager.class_cache_size(), live_classes.size() - expected.size());
+  std::vector<std::string> violations;
+  manager.CheckIntegrity(&violations);
+  EXPECT_TRUE(violations.empty()) << violations.front();
+  return evicted.size();
+}
+
+// A machine removal, and a rack drain that also removes the rack
+// aggregator, evict exactly the cached classes referencing the leaving
+// nodes — through the lazy index — and the delta graph still matches a
+// from-scratch refresh afterwards.
+TEST(ClassIndexTest, RemovalsEvictExactlyTheReferencingClasses) {
+  ClusterState cluster;
+  BlockStore store(&cluster, 43);
+  QuincyPolicy policy(&cluster, &store);
+  FirmamentScheduler scheduler(&cluster, &policy);
+  std::vector<std::vector<MachineId>> racks;
+  for (int r = 0; r < 4; ++r) {
+    RackId rack = cluster.AddRack();
+    racks.emplace_back();
+    for (int m = 0; m < 6; ++m) {
+      racks.back().push_back(scheduler.AddMachine(rack, MachineSpec{.slots = 8}));
+    }
+  }
+  Rng rng(47);
+  SimTime now = 0;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<TaskDescriptor> tasks(10);
+    for (TaskDescriptor& task : tasks) {
+      task.runtime = 1'000 * kSec;
+      task.input_size_bytes = rng.NextInt(200'000'000, 700'000'000);
+      task.input_blocks = store.AllocateInput(task.input_size_bytes);
+    }
+    scheduler.SubmitJob(JobType::kBatch, 0, std::move(tasks), now);
+    scheduler.RunSchedulingRound(now += kSec);
+  }
+  scheduler.graph_manager().UpdateRound(now += kSec);
+
+  // Drain rack 1 machine by machine: the last removal also takes the rack
+  // aggregator. Between removals, rounds re-cache the evicted classes, so
+  // the index lists carry stale entries of earlier incarnations — which
+  // must not fire again.
+  size_t evicted = 0;
+  for (size_t m = 0; m < racks[1].size(); ++m) {
+    const bool drains = m + 1 == racks[1].size();
+    evicted += ExpectRemovalEvictsReferencingClasses(scheduler, cluster, policy, store,
+                                                     racks[1][m], drains, now);
+    scheduler.RunSchedulingRound(now += kSec);
+  }
+  EXPECT_GT(evicted, 0u);
+  scheduler.graph_manager().UpdateRound(now += kSec);
+  ExpectDeltaMatchesFullRefresh(Policy::kQuincyWithLocality, cluster, &store,
+                                scheduler.graph_manager(), now, "after draining a rack");
 }
 
 // ---------------------------------------------------------------------------

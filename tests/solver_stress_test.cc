@@ -3,10 +3,12 @@
 // of incremental cost scaling, and solver/DIMACS interoperability.
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/flow/dimacs.h"
+#include "src/flow/flow_network_view.h"
 #include "src/flow/graph.h"
 #include "src/solvers/cost_scaling.h"
 #include "src/solvers/racing_solver.h"
@@ -381,6 +383,94 @@ TEST(PriceRefineTest, HandoffPotentialsAcceleratingWarmStartStayExact) {
   FlowNetwork scratch = net;
   CostScaling fresh;
   EXPECT_EQ(fresh.Solve(&scratch).total_cost, stats.total_cost);
+}
+
+// True when some node's adjacency slice no longer sits where a fresh CSR
+// build would put it (directly after its dense predecessor's): the patch
+// path relocated it to the arena tail.
+bool HasRelocatedSlice(const FlowNetworkView& view) {
+  for (uint32_t v = 0; v + 1 < view.num_nodes(); ++v) {
+    if (view.adj_end(v) != view.first_out(v + 1)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The racing solver refines prices on relaxation's persistent view instead
+// of a freshly built one. On a patched view — tombstoned nodes and arcs,
+// relocated adjacency slices — the potentials must equal
+// PriceRefine(network)'s entry for entry.
+TEST(PriceRefineTest, PatchedViewPotentialsEqualFreshViewRefine) {
+  SchedulingGraphSpec spec;
+  spec.num_tasks = 150;
+  spec.num_machines = 12;
+  spec.seed = 53;
+  FlowNetwork net = MakeSchedulingGraph(spec);
+  net.EnableChangeRecording(true);
+  std::vector<NodeId> tasks;
+  std::vector<NodeId> machines;
+  NodeId sink = kInvalidNodeId;
+  NodeId unscheduled = kInvalidNodeId;
+  for (NodeId node : net.ValidNodes()) {
+    switch (net.Kind(node)) {
+      case NodeKind::kTask:
+        tasks.push_back(node);
+        break;
+      case NodeKind::kMachine:
+        machines.push_back(node);
+        break;
+      case NodeKind::kSink:
+        sink = node;
+        break;
+      case NodeKind::kUnscheduled:
+        unscheduled = node;
+        break;
+      default:
+        break;
+    }
+  }
+  Relaxation relaxation;
+  Rng rng(59);
+  int patched_rounds = 0;
+  bool saw_tombstones = false;
+  bool saw_relocation = false;
+  for (int round = 0; round < 10; ++round) {
+    SolveStats stats = relaxation.Solve(&net);
+    ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "round " << round;
+    net.ClearChanges();
+    if (stats.view_prep == FlowNetworkView::PrepareResult::kPatched) {
+      const FlowNetworkView& view = relaxation.view();
+      ++patched_rounds;
+      saw_tombstones |= view.num_nodes() > view.num_live_nodes();
+      saw_relocation |= HasRelocatedSlice(view);
+      std::vector<int64_t> dense;
+      ASSERT_TRUE(ComputeOptimalPotentials(view, &dense)) << "round " << round;
+      std::vector<int64_t> on_view;
+      view.ScatterPotentials(dense, &on_view);
+      std::vector<int64_t> fresh;
+      ASSERT_TRUE(PriceRefine(net, &fresh)) << "round " << round;
+      EXPECT_EQ(on_view, fresh) << "round " << round;
+    }
+    // A small delta per round keeps the view on the patch path: one task
+    // leaves (tombstones) and one arrives with preference arcs into the
+    // machines' full slices (relocations).
+    size_t victim = rng.NextUint64(tasks.size());
+    net.RemoveNode(tasks[victim]);
+    net.SetNodeSupply(sink, net.Supply(sink) + 1);
+    tasks[victim] = tasks.back();
+    tasks.pop_back();
+    NodeId task = net.AddNode(1, NodeKind::kTask);
+    net.AddArc(task, unscheduled, 1, rng.NextInt(50, 100));
+    for (int p = 0; p < 3; ++p) {
+      net.AddArc(task, machines[rng.NextUint64(machines.size())], 1, rng.NextInt(0, 25));
+    }
+    net.SetNodeSupply(sink, net.Supply(sink) - 1);
+    tasks.push_back(task);
+  }
+  EXPECT_GE(patched_rounds, 5);
+  EXPECT_TRUE(saw_tombstones);
+  EXPECT_TRUE(saw_relocation);
 }
 
 TEST(TryProveOptimalTest, ProvesOptimalFlowsAndRejectsSuboptimal) {

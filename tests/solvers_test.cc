@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/timer.h"
 #include "src/flow/graph.h"
 #include "src/solvers/cost_scaling.h"
 #include "src/solvers/cycle_canceling.h"
@@ -643,6 +644,43 @@ TEST(RacingSolverTest, ReportsWinnerAndLoserStats) {
   bool relax_done = round.relaxation.outcome == SolveOutcome::kOptimal;
   bool cs_done = round.cost_scaling.outcome == SolveOutcome::kOptimal;
   EXPECT_TRUE(relax_done || cs_done);
+}
+
+// The race reports how long it waited for the cost-scaling leg after
+// relaxation returned: set on rounds relaxation wins, never beyond the
+// round's own wall time, and left at 0 outside the race.
+TEST(RacingSolverTest, ReportsLoserWaitWhenRelaxationWins) {
+  SchedulingGraphSpec spec;
+  spec.num_tasks = 400;
+  spec.num_machines = 40;
+  spec.seed = 61;
+  FlowNetwork net = MakeSchedulingGraph(spec);
+  net.EnableChangeRecording(true);
+  Rng rng(67);
+  RacingSolver racing;
+  int relaxation_wins = 0;
+  bool saw_wait = false;
+  for (int round = 0; round < 20; ++round) {
+    WallTimer timer;
+    SolveStats stats = racing.Solve(&net);
+    const uint64_t round_us = timer.ElapsedMicros();
+    ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "round " << round;
+    const RoundStats& last = racing.last_round();
+    EXPECT_LE(last.loser_wait_us, round_us) << "round " << round;
+    if (last.winner_algorithm == last.relaxation.algorithm) {
+      ++relaxation_wins;
+      saw_wait |= last.loser_wait_us > 0;
+    }
+    ApplyRandomChanges(&net, &rng, 6);
+  }
+  ASSERT_GT(relaxation_wins, 0) << "relaxation never won the race";
+  EXPECT_TRUE(saw_wait) << "no relaxation-won round recorded a wait on the cancelled leg";
+
+  RacingSolverOptions options;
+  options.mode = SolverMode::kRelaxationOnly;
+  RacingSolver relaxation_only(options);
+  ASSERT_EQ(relaxation_only.Solve(&net).outcome, SolveOutcome::kOptimal);
+  EXPECT_EQ(relaxation_only.last_round().loser_wait_us, 0u);
 }
 
 // Approximate termination (§5.1): a tiny budget yields an approximate or
