@@ -3,15 +3,10 @@
 //      contended nodes (paper: −45%).
 //  (b) Efficient task removal (TR) speeds up incremental cost scaling on
 //      removal-heavy change streams (paper: −10%).
-//  (c) Wave ordering (π/ε-bucketed discharge) vs FIFO for cost scaling on
-//      the same contended shape — the [17] heuristic kept off by default;
-//      this series is the ablation evidence (compare push+relabel counts,
-//      which are deterministic, alongside the noisy wall time).
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "src/solvers/cost_scaling.h"
 #include "src/solvers/relaxation.h"
 
 namespace firmament {
@@ -21,10 +16,6 @@ double g_ap_on_s = 0;
 double g_ap_off_s = 0;
 double g_tr_on_s = 0;
 double g_tr_off_s = 0;
-double g_wave_on_s = 0;
-double g_wave_off_s = 0;
-double g_wave_on_it = 0;
-double g_wave_off_it = 0;
 
 // (a) Relaxation with/without arc prioritization on a contended graph:
 // load-spreading policy plus one large arriving job (cf. Fig. 9).
@@ -81,36 +72,6 @@ void TaskRemoval(benchmark::State& state) {
   state.counters["mean_s"] = dist.Mean();
 }
 
-// (c) Cost scaling with/without π/ε-bucketed wave ordering on the
-// contended large-job graph; from-scratch solves so the discharge order is
-// the only variable.
-void WaveOrdering(benchmark::State& state) {
-  const bool enabled = state.range(0) == 1;
-  const int machines = bench::Scaled(400, 1250);
-  bench::BenchEnv env(bench::PolicyKind::kLoadSpreading, machines, 10);
-  SimTime now = env.FillToUtilization(0.4, 0);
-  env.SubmitBatchJob(bench::Scaled(1500, 4000), now);
-  env.manager().UpdateRound(now);
-
-  CostScalingOptions options;
-  options.wave_ordering = enabled;
-  Distribution dist;
-  Distribution iters;
-  for (auto _ : state) {
-    FlowNetwork copy = *env.network();
-    CostScaling solver(options);
-    SolveStats stats = solver.Solve(&copy);
-    double seconds = static_cast<double>(stats.runtime_us) / 1e6;
-    state.SetIterationTime(seconds);
-    dist.Add(seconds);
-    iters.Add(static_cast<double>(stats.iterations));
-  }
-  (enabled ? g_wave_on_s : g_wave_off_s) = dist.Mean();
-  (enabled ? g_wave_on_it : g_wave_off_it) = iters.Mean();
-  state.counters["mean_s"] = dist.Mean();
-  state.counters["push_relabel_iters"] = iters.Mean();
-}
-
 }  // namespace
 }  // namespace firmament
 
@@ -136,15 +97,6 @@ int main(int argc, char** argv) {
         ->UseManualTime()
         ->Unit(benchmark::kMillisecond);
   }
-  for (int enabled : {0, 1}) {
-    benchmark::RegisterBenchmark(enabled ? "fig12c/cost_scaling_with_wave"
-                                         : "fig12c/cost_scaling_no_wave",
-                                 firmament::WaveOrdering)
-        ->Arg(enabled)
-        ->Iterations(3)
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond);
-  }
   firmament::bench::RunBenchmarksWithJson("fig12_heuristics");
   std::printf("\nFigure 12 summary:\n");
   std::printf("  (a) relaxation:        no AP %.4fs -> AP %.4fs (%.1f%% reduction)\n",
@@ -153,13 +105,6 @@ int main(int argc, char** argv) {
   std::printf("  (b) inc. cost scaling: no TR %.4fs -> TR %.4fs (%.1f%% reduction)\n",
               firmament::g_tr_off_s, firmament::g_tr_on_s,
               100.0 * (1.0 - firmament::g_tr_on_s / firmament::g_tr_off_s));
-  std::printf(
-      "  (c) cost scaling:      FIFO %.4fs / %.0f it -> wave %.4fs / %.0f it "
-      "(%.1f%% wall, %.1f%% iters)\n",
-      firmament::g_wave_off_s, firmament::g_wave_off_it, firmament::g_wave_on_s,
-      firmament::g_wave_on_it,
-      100.0 * (1.0 - firmament::g_wave_on_s / firmament::g_wave_off_s),
-      100.0 * (1.0 - firmament::g_wave_on_it / firmament::g_wave_off_it));
   benchmark::Shutdown();
   return 0;
 }

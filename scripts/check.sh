@@ -33,7 +33,7 @@ FIRMAMENT_BUDGET_GATE=1 ./build/scheduler_integration_test \
   --gtest_filter='SolveBudgetTest.Fig03ShapeDegradesWithinTwiceBudget'
 
 # Debug + ASan/UBSan leg: the cross-round caches (class-arc cache, Quincy
-# block->task index, persistent fixed-arc set) carry state between rounds,
+# block->task index, the solvers' persistent views) carry state between rounds,
 # so lifetime bugs — stale cache entries, dangling refs into a renumbered
 # view — corrupt results long after the mutation. Under sanitizers they
 # fail loudly at the faulting access instead. Skip with
@@ -192,24 +192,14 @@ while read -r gu_speedup; do
 done < <(sed -n 's/.*"graph_update_speedup": \([0-9.eE+-]*\).*/\1/p' BENCH_fig11_incremental.json)
 
 # Acceptance guard for the cross-round class cache: on bursty
-# identical-task submits the persistent cache must beat the legacy
-# per-round class cache by >= 2x on the graph-update pass. Like the
-# baseline diffs above, a wall-clock ratio on a loaded 1-CPU runner gets
-# one confirmation re-run before failing (the two runs' max gates, since a
-# stall can only deflate the measured speedup).
-burst_speedup="$(sed -n 's/.*"burst_speedup": \([0-9.eE+-]*\).*/\1/p' BENCH_fig11_incremental.json | head -1)"
-if ! awk -v s="${burst_speedup:-0}" 'BEGIN { exit !(s >= 2.0) }'; then
-  echo "bench-diff: burst speedup ${burst_speedup:-?}x below gate; re-running once to confirm"
-  # Filtered re-run in the scratch dir so the full BENCH json is not
-  # clobbered (later gates still read it).
-  (cd "$BASELINE_DIR" && "$OLDPWD/build/bench_fig11_incremental" \
-      --benchmark_filter='fig11/graph_update_burst')
-  rerun_speedup="$(sed -n 's/.*"burst_speedup": \([0-9.eE+-]*\).*/\1/p' "$BASELINE_DIR/BENCH_fig11_incremental.json" | head -1)"
-  burst_speedup="$(awk -v a="${burst_speedup:-0}" -v b="${rerun_speedup:-0}" 'BEGIN { print (a > b ? a : b) }')"
-fi
-echo "graph update (bursty identical submits): persistent-vs-per-round speedup=${burst_speedup:-?}x"
-if ! awk -v s="${burst_speedup:-0}" 'BEGIN { exit !(s >= 2.0) }'; then
-  echo "bench-diff: cross-round class cache below acceptance (need >=2x vs per-round cache on bursts, confirmed over 2 runs)"
+# identical-task submits every measured round must be served from the
+# cache — the burst series sums the policy's class-pricing calls
+# (class_cache_misses) over its measured rounds, and that count must be 0.
+# Deterministic, so no re-run.
+burst_misses="$(sed -n 's/.*"name": "fig11\/graph_update_burst.*"class_cache_misses": \([0-9.eE+-]*\).*/\1/p' BENCH_fig11_incremental.json | head -1)"
+echo "graph update (bursty identical submits): class_cache_misses=${burst_misses:-?}"
+if ! awk -v m="${burst_misses:--1}" 'BEGIN { exit !(m == 0) }'; then
+  echo "bench-diff: cross-round class cache re-priced a cached class on bursts (need class_cache_misses == 0)"
   FAILED=1
 fi
 

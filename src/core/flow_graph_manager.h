@@ -53,11 +53,6 @@ struct FlowGraphManagerOptions {
   // of flow to the sink and drain it so feasibility is preserved and
   // incremental cost scaling repairs less (Fig. 12b ablates this).
   bool task_removal_drain = true;
-  // Keep the equivalence-class arc cache across rounds, invalidated from
-  // deltas (node removals + policy MarkEquivClass). OFF restores the legacy
-  // per-round cache (cleared at the top of every UpdateRound) — kept for
-  // the fig11 bursty-submit ablation and as a bisection aid.
-  bool persistent_class_cache = true;
   // Shard count for UpdateRound's compute/apply split. 0 (the default) is
   // the serial path: each dirty entity's policy hooks run inline with the
   // graph mutation. With N >= 1 the round's dirty tasks, aggregators, and
@@ -410,8 +405,7 @@ class FlowGraphManager {
   PolicyUpdate update_;  // reused across rounds
 
   // Cross-round equivalence-class arc cache: class key -> shared arc specs,
-  // reused verbatim until invalidated; with persistent_class_cache=false it
-  // degenerates to the legacy per-round cache (cleared every round).
+  // reused verbatim until invalidated.
   //
   // ec_dst_index_ is the reverse index node removals invalidate through:
   // per NodeId, the classes whose cached specs target that node. It is

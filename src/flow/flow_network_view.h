@@ -97,17 +97,6 @@ class FlowNetworkView {
   void Invalidate() { built_ = false; }
   bool built() const { return built_; }
 
-  // --- Journal-delta exposure (persistent arc fixing, §6.2 follow-up) -----
-  // Dense arc indices whose cost, capacity, or structure changed in the
-  // last Prepare()/Apply() *patch* (may contain duplicates; reset at every
-  // sync). Only meaningful when that sync returned kPatched: a rebuild
-  // renumbers the dense space, so consumers must treat every arc as
-  // touched then (the list is cleared, but the PrepareResult is the
-  // signal). Solvers that persist per-arc conclusions across warm-started
-  // rounds (cost scaling's fixed-arc set) consume this to unfix exactly
-  // the arcs the round's graph changes invalidated.
-  const std::vector<uint32_t>& touched_arcs() const { return touched_arcs_; }
-
   // Dense id space sizes, *including* tombstoned slots.
   uint32_t num_nodes() const { return static_cast<uint32_t>(supply_.size()); }
   uint32_t num_arcs() const { return static_cast<uint32_t>(src_.size()); }
@@ -307,9 +296,6 @@ class FlowNetworkView {
   uint32_t live_nodes_ = 0;
   uint32_t live_arcs_ = 0;
   uint32_t churn_ = 0;
-
-  // Dense arcs touched by the last patch; see touched_arcs().
-  std::vector<uint32_t> touched_arcs_;
 };
 
 }  // namespace firmament

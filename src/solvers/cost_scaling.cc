@@ -53,20 +53,6 @@ int64_t MaxViolation(const std::vector<ResidualEntry>& star, const std::vector<i
 constexpr uint32_t kRelabelStormPeriod = 32;
 uint32_t GlobalUpdateThreshold(uint32_t num_nodes) { return 16 + num_nodes / 8; }
 
-// Arc fixing bar: an empty arc whose reduced cost exceeds kArcFixFactorN·n·ε
-// is hidden from the phase's scans. Potentials rise by at most ~3nε during
-// one refine (Goldberg–Tarjan), so no hidden arc can become admissible
-// within the phase and the repair pass is a pure safety net — a bar any
-// tighter (e.g. a small constant times ε) measurably *hurts*: single
-// relabels jump potentials by many ε, admissibility reaches past the bar,
-// and every repair re-drain inflates the push/relabel count.
-constexpr int64_t kArcFixFactorN = 3;
-// Safety valve: a node relabeling this often within one phase signals that
-// the hidden arcs may be load-bearing (e.g. an oversubscribed region whose
-// only drain is a high-cost unscheduled arc); restore them immediately
-// instead of grinding relabels against an artificially truncated star.
-constexpr uint32_t kUnfixRelabelBound = 64;
-
 }  // namespace
 
 void CostScaling::ImportPotentials(std::vector<int64_t> unscaled_potentials) {
@@ -78,7 +64,6 @@ void CostScaling::ResetState() {
   potential_.clear();
   scale_ = 0;
   has_pending_import_ = false;
-  fixed_.clear();
   view_.Invalidate();
 }
 
@@ -106,10 +91,6 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
     out->deadline_exceeded = true;
     out->flow_valid = false;
     out->runtime_us = timer.ElapsedMicros();
-    // Persisted fixed-arc conclusions were derived under a journal this
-    // abandoned round consumed without validating them; drop rather than
-    // carry a potentially stale set into the next round.
-    fixed_.clear();
   };
   if (DeadlineExpired()) {
     degraded_early(&stats);
@@ -169,44 +150,6 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
   // costs: one cache line per probed residual arc instead of scattered SoA
   // loads, and no per-probe cost multiply.
   view.BuildResidualStar(scale, &star_);
-  // --- Persistent arc fixing: re-arm across warm-started rounds -----------
-  // fixed_ carries the refs the previous solve proved unreachable. The star
-  // rebuild above made every residual visible again; re-hide the entries
-  // that survived the round's graph changes — unfixing exactly the arcs the
-  // GraphChange journal touched (cost/capacity deltas and tombstones, via
-  // the view's touched-arc list), plus any arc the previous winner's flow
-  // actually uses. The first refine then validates the survivors against
-  // its own 3nε bar instead of re-deriving the whole set. A view that fell
-  // off the patch path renumbered the dense space, so the set is dropped.
-  if (!fixed_.empty()) {
-    if (options_.incremental && options_.arc_fixing && options_.arc_fix_persist &&
-        stats.view_prep == FlowNetworkView::PrepareResult::kPatched) {
-      touched_scratch_.clear();
-      touched_scratch_.insert(view.touched_arcs().begin(), view.touched_arcs().end());
-      size_t kept = 0;
-      for (const auto& [ref, hidden] : fixed_) {
-        uint32_t a = FlowNetworkView::RefArc(ref);
-        if (a >= view.num_arcs() || touched_scratch_.count(a) != 0 || view.Flow(a) != 0 ||
-            view.Capacity(a) <= 0) {
-          // Journal-touched, flow-carrying, or tombstoned: the conclusion
-          // "unreachable this phase" was derived under inputs that no
-          // longer hold, so the arc rejoins the visible star. This is what
-          // keeps MaxViolation's measured-ε honest — a cost drop on a
-          // hidden arc would otherwise be invisible to it.
-          ++stats.arcs_unfixed;
-          continue;
-        }
-        ResidualEntry& fwd = star_[FlowNetworkView::MakeRef(a, false)];
-        fixed_[kept++] = {FlowNetworkView::MakeRef(a, false), fwd.residual};
-        fwd.residual = 0;
-        (void)hidden;
-      }
-      fixed_.resize(kept);
-      stats.arcs_fixed = kept;
-    } else {
-      fixed_.clear();
-    }
-  }
   // Excess is maintained incrementally from here on: Refine's saturation and
   // discharge adjust it arc by arc, so it is never recomputed per phase.
   excess_.assign(n, 0);
@@ -311,8 +254,7 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
     if (descending) {
       eps = std::max<int64_t>(1, eps / std::max<int64_t>(2, options_.alpha));
     }
-    RefineResult result = Refine(&view, eps, &stats, cancel, price_update_first, warm_budget,
-                                 options_.arc_fixing && eps < scale);
+    RefineResult result = Refine(&view, eps, &stats, cancel, price_update_first, warm_budget);
     price_update_first = false;
     if (result == RefineResult::kBudget) {
       pi_.assign(n, 0);
@@ -482,8 +424,7 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
                                               SolveStats* stats,
                                               const std::atomic<bool>* cancel,
                                               bool price_update_first,
-                                              uint64_t iteration_budget,
-                                              bool allow_arc_fixing) {
+                                              uint64_t iteration_budget) {
   FlowNetworkView& view = *view_ptr;
   const uint32_t n = view.num_nodes();
   const uint32_t m = view.num_arcs();
@@ -502,38 +443,6 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
   // each phase; thresholding at ±ε preserves the previous phase's routing
   // and leaves a fraction of the excess to repair. Excess is adjusted arc
   // by arc as flips happen.
-  //
-  // Arc fixing rides on the same sweep: an emptied arc whose reduced cost
-  // sits far above the admissibility bar (c_pi > kArcFixFactor·ε) cannot
-  // plausibly be used this phase, so its forward residual is hidden — the
-  // residual > 0 test then skips it before touching pi_[head], the random
-  // load that dominates relabel scans on high-degree aggregators. Only the
-  // forward side is ever hidden: the reverse residual doubles as the arc's
-  // flow, which SyncFlowFromStar must always see intact. The caller
-  // disables fixing for phases that restructure routing globally (the cold
-  // ε = scale jump start, where π = 0 makes every expensive-but-necessary
-  // arc look fixable).
-  const bool fixing = allow_arc_fixing;
-  const int64_t fix_bar = kArcFixFactorN * static_cast<int64_t>(n) * eps;
-  // Entries carried over from the previous phase or round (persistent
-  // fixing) are validated, not re-derived: anything at or below THIS
-  // phase's bar is restored and rejoins the sweep below; survivors stay
-  // hidden. When fixing is disabled for the phase (cold ε = scale starts),
-  // everything is restored.
-  if (!fixed_.empty()) {
-    size_t kept = 0;
-    for (const auto& [ref, hidden] : fixed_) {
-      ResidualEntry& fwd = star_[ref];
-      const ResidualEntry& rev = star_[ref ^ 1u];
-      int64_t c_pi = fwd.cost - pi_[rev.head] + pi_[fwd.head];
-      if (fixing && c_pi > fix_bar) {
-        fixed_[kept++] = {ref, hidden};
-      } else {
-        fwd.residual += hidden;
-      }
-    }
-    fixed_.resize(kept);
-  }
   for (uint32_t a = 0; a < m; ++a) {
     ResidualEntry& fwd = star_[FlowNetworkView::MakeRef(a, false)];
     ResidualEntry& rev = star_[FlowNetworkView::MakeRef(a, true)];
@@ -543,21 +452,13 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
       excess_[fwd.head] += fwd.residual;
       rev.residual += fwd.residual;
       fwd.residual = 0;
-    } else if (c_pi > eps) {
-      if (rev.residual > 0) {
-        excess_[rev.head] += rev.residual;  // flow := 0
-        excess_[fwd.head] -= rev.residual;
-        fwd.residual += rev.residual;
-        rev.residual = 0;
-      }
-      if (fixing && c_pi > fix_bar && fwd.residual > 0) {
-        fixed_.emplace_back(FlowNetworkView::MakeRef(a, false), fwd.residual);
-        fwd.residual = 0;
-      }
+    } else if (c_pi > eps && rev.residual > 0) {
+      excess_[rev.head] += rev.residual;  // flow := 0
+      excess_[fwd.head] -= rev.residual;
+      fwd.residual += rev.residual;
+      rev.residual = 0;
     }
   }
-
-  stats->arcs_fixed = std::max<uint64_t>(stats->arcs_fixed, fixed_.size());
 
   cur_arc_.resize(n);
   for (uint32_t v = 0; v < n; ++v) {
@@ -573,168 +474,20 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
                             64);
   const uint32_t update_threshold = GlobalUpdateThreshold(n);
   const uint64_t start_iterations = stats->iterations;
-  const bool wave = options_.wave_ordering;
   uint32_t relabels_since_update = 0;
   uint64_t pushes_since_poll = 0;
-  std::deque<uint32_t> fifo;   // FIFO mode
-  in_queue_.assign(n, false);  // FIFO mode
-  if (wave) {                  // wave mode: reset the bucket array
-    for (std::vector<uint32_t>& bucket : wave_buckets_) {
-      bucket.clear();
-    }
-    wave_size_ = 0;
-    wave_top_ = 0;
-  }
-
-  // Wave ordering discharges the active node in the highest π/ε bucket
-  // first: admissible arcs run from higher towards lower potential, so the
-  // bucket order approximates a topological sweep of the admissible
-  // network and excess travels many hops per wave. Entries are lazy — a
-  // node drained before its pop is skipped — so nothing is deleted
-  // mid-bucket. v2: a flat bucket array keyed by floor(π/ε) replaces the
-  // comparison max-heap; push/pop are O(1). Keys below the current base
-  // (possible when a node that was inactive at phase start activates later
-  // at its old, low π) prepend buckets; π only rises within a refine, so
-  // such shifts are rare.
-  auto wave_key = [&](uint32_t v) {
-    int64_t p = pi_[v];
-    return p >= 0 ? p / eps : -((-p + eps - 1) / eps);  // floor division
-  };
-  // The array is capped: keys are clamped into [wave_base_, wave_base_ +
-  // kWaveBucketCap). Memory therefore stays O(active + cap) even when the
-  // key range is the whole potential landscape (warm-started ε = 1 phases,
-  // where floor(π/1) spans millions) — the regime that made an uncapped
-  // array, unlike the v1 heap, allocate proportional to the *range*.
-  // Clamping only coarsens the heuristic order (any discharge order is
-  // correct for push/relabel); within the cap the order matches v1's.
-  constexpr size_t kWaveBucketCap = 4096;
-  auto wave_push = [&](uint32_t v) {
-    const int64_t key = wave_key(v);
-    if (wave_size_ == 0) {
-      wave_base_ = key;
-      wave_top_ = 0;
-      if (wave_buckets_.empty()) {
-        wave_buckets_.resize(1);
-      }
-    }
-    const int64_t rel = key - wave_base_;
-    const size_t idx =
-        rel < 0 ? 0 : std::min<size_t>(static_cast<size_t>(rel), kWaveBucketCap - 1);
-    if (idx >= wave_buckets_.size()) {
-      wave_buckets_.resize(idx + 1);
-    }
-    wave_buckets_[idx].push_back(v);
-    if (idx > wave_top_) {
-      wave_top_ = idx;
-    }
-    ++wave_size_;
-  };
-
+  std::deque<uint32_t> fifo;
+  in_queue_.assign(n, false);
   for (uint32_t v = 0; v < n; ++v) {
     if (excess_[v] > 0) {
-      if (wave) {
-        wave_push(v);
-      } else {
-        fifo.push_back(v);
-        in_queue_[v] = true;
-      }
-    }
-  }
-
-  auto enqueue_active = [&](uint32_t v) {
-    if (wave) {
-      wave_push(v);
-    } else if (!in_queue_[v]) {
       fifo.push_back(v);
       in_queue_[v] = true;
     }
-  };
-
-  // Saturates one restored arc that violates ε-optimality (c_pi < -ε),
-  // enqueueing the excess that creates; shared by the full-restore repair
-  // and the persistent phase-end pass. A source drained without a
-  // discharge leaves a stale queue entry behind in either mode; the
-  // pop-side staleness checks skip it.
-  auto saturate_restored = [&](uint32_t ref) {
-    ResidualEntry& fwd = star_[ref];
-    ResidualEntry& rev = star_[ref ^ 1u];
-    bool dst_was_active = excess_[fwd.head] > 0;
-    excess_[rev.head] -= fwd.residual;
-    excess_[fwd.head] += fwd.residual;
-    rev.residual += fwd.residual;
-    fwd.residual = 0;
-    if (!dst_was_active && excess_[fwd.head] > 0) {
-      enqueue_active(fwd.head);
-    }
-  };
-
-  // Restores every hidden residual; with `repair`, additionally saturates
-  // any restored arc the phase relabeled past its fixing bar (c_pi < -ε),
-  // enqueueing the excess that creates, and reports whether it had to.
-  // Early-exit paths restore without repair: the next refine's saturation
-  // sweep handles violations at its own ε.
-  auto restore_fixed = [&](bool repair) -> bool {
-    bool repaired = false;
-    for (const auto& [ref, residual] : fixed_) {
-      star_[ref].residual = residual;
-    }
-    if (repair) {
-      for (const auto& [ref, residual] : fixed_) {
-        ResidualEntry& fwd = star_[ref];
-        const ResidualEntry& rev = star_[ref ^ 1u];
-        if (fwd.residual <= 0) {
-          continue;
-        }
-        int64_t c_pi = fwd.cost - pi_[rev.head] + pi_[fwd.head];
-        if (c_pi < -eps) {
-          saturate_restored(ref);
-          repaired = true;
-        }
-        (void)residual;
-      }
-    }
-    fixed_.clear();
-    return repaired;
-  };
-
-  // Persistent phase end: repair only the entries the phase relabeled past
-  // their fixing bar (restore + saturate + drop); compliant entries stay
-  // hidden for the next phase — and, via the SolveView re-arm, the next
-  // round. Reports whether any repair created excess to re-drain.
-  auto repair_keep_fixed = [&]() -> bool {
-    bool repaired = false;
-    size_t kept = 0;
-    for (const auto& [ref, hidden] : fixed_) {
-      ResidualEntry& fwd = star_[ref];
-      const ResidualEntry& rev = star_[ref ^ 1u];
-      int64_t c_pi = fwd.cost - pi_[rev.head] + pi_[fwd.head];
-      if (c_pi < -eps) {
-        fwd.residual += hidden;
-        saturate_restored(ref);
-        repaired = true;
-      } else {
-        fixed_[kept++] = {ref, hidden};
-      }
-    }
-    fixed_.resize(kept);
-    return repaired;
-  };
-
-  if (price_update_first && options_.global_price_update &&
-      (wave ? wave_size_ > 0 : !fifo.empty())) {
-    GlobalPriceUpdate(view, eps);
   }
 
-  auto global_update = [&]() {
+  if (price_update_first && !fifo.empty()) {
     GlobalPriceUpdate(view, eps);
-    // Current-arc pointers are NOT reset: stale positions only delay the
-    // next push until a relabel re-scans the full adjacency and repositions
-    // the pointer at the new minimum — ε-optimality never depends on the
-    // pointer, and skipping n resets (plus the rescans they cause) is a
-    // measured win on large graphs. Wave-heap keys repriced by the update
-    // go stale in place; keys only under-estimate (π never falls), so the
-    // popped order stays a valid upstream-first approximation.
-  };
+  }
 
   // Fully discharges v: pushes excess along admissible arcs, relabeling when
   // the current-arc pointer runs off the end.
@@ -757,8 +510,9 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
             bool was_active = excess_[w] > 0;
             excess_[w] += delta;
             ++stats->iterations;
-            if (!was_active && excess_[w] > 0) {
-              enqueue_active(w);
+            if (!was_active && excess_[w] > 0 && !in_queue_[w]) {
+              fifo.push_back(w);
+              in_queue_[w] = true;
             }
             if (++pushes_since_poll >= 4096) {
               pushes_since_poll = 0;
@@ -829,23 +583,22 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
         if (++relabel_count_[v] > relabel_bound) {
           return RefineResult::kStuck;  // eps too small, or infeasible
         }
-        if (!fixed_.empty() && relabel_count_[v] >= kUnfixRelabelBound) {
-          // Relabel storm with arcs hidden: the truncated star may be what
-          // the storm is grinding against. Restore-and-repair (one-shot;
-          // fixed_ drains) before the grind escalates.
-          restore_fixed(/*repair=*/true);
-        }
         if (iteration_budget != 0 && stats->iterations - start_iterations > iteration_budget) {
           return RefineResult::kBudget;
         }
         pushed_or_relabeled = true;
         ++relabels_since_update;
-        if (options_.global_price_update && relabel_count_[v] % kRelabelStormPeriod == 0 &&
+        if (relabel_count_[v] % kRelabelStormPeriod == 0 &&
             relabels_since_update >= update_threshold) {
           // Discharging is grinding through unit-ε relabels; reprice the
-          // whole graph in one pass instead.
+          // whole graph in one pass instead. Current-arc pointers are NOT
+          // reset: stale positions only delay the next push until a relabel
+          // re-scans the full adjacency and repositions the pointer at the
+          // new minimum — ε-optimality never depends on the pointer, and
+          // skipping n resets (plus the rescans they cause) is a measured
+          // win on large graphs.
           relabels_since_update = 0;
-          global_update();
+          GlobalPriceUpdate(view, eps);
         }
       }
       CHECK(pushed_or_relabeled);
@@ -853,75 +606,18 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
     return RefineResult::kOk;
   };
 
-  // A discharge that runs dry behind hidden arcs is not proof of
-  // infeasibility: restore (with repair, so no violation can outlive the
-  // phase) and retry before propagating kNoPath.
-  auto discharge_with_unfix = [&](uint32_t v) -> RefineResult {
+  while (!fifo.empty()) {
+    uint32_t v = fifo.front();
+    fifo.pop_front();
+    in_queue_[v] = false;
     RefineResult result = discharge(v);
-    if (result == RefineResult::kNoPath && !fixed_.empty()) {
-      restore_fixed(/*repair=*/true);
-      result = discharge(v);
+    if (result != RefineResult::kOk) {
+      return result;
     }
-    return result;
-  };
-
-  // Outer loop: drain the active set; then, if arcs were fixed, restore
-  // them and repair any the phase relabeled past the fixing bar — repairs
-  // re-create excess, which is re-drained (with fixing spent for this
-  // phase) until the phase ends clean.
-  for (;;) {
-    if (wave) {
-      // Wave ordering: pop the active node in the highest π/ε bucket.
-      // Entries are lazy: drained nodes are skipped. Keys can only be
-      // *under*-estimates (π rises monotonically within a refine), so a
-      // popped entry whose node was repriced since the push is still the
-      // best-known candidate — discharging it immediately keeps the sweep
-      // upstream-first without any re-keying churn.
-      while (wave_size_ > 0) {
-        while (wave_buckets_[wave_top_].empty()) {
-          --wave_top_;  // wave_size_ > 0 guarantees a non-empty bucket below
-        }
-        std::vector<uint32_t>& bucket = wave_buckets_[wave_top_];
-        uint32_t v = bucket.back();
-        bucket.pop_back();
-        --wave_size_;
-        if (excess_[v] <= 0) {
-          continue;  // drained while queued
-        }
-        RefineResult result = discharge_with_unfix(v);
-        if (result != RefineResult::kOk) {
-          restore_fixed(/*repair=*/false);
-          return result;
-        }
-      }
-    } else {
-      while (!fifo.empty()) {
-        uint32_t v = fifo.front();
-        fifo.pop_front();
-        in_queue_[v] = false;
-        RefineResult result = discharge_with_unfix(v);
-        if (result != RefineResult::kOk) {
-          restore_fixed(/*repair=*/false);
-          return result;
-        }
-      }
-    }
-    if (fixed_.empty()) {
-      break;
-    }
-    // Persistent mode keeps compliant entries hidden across the phase
-    // boundary (the next phase validates them against its own bar);
-    // otherwise restore-and-repair everything as before.
-    bool repaired =
-        options_.arc_fix_persist ? repair_keep_fixed() : restore_fixed(/*repair=*/true);
-    if (!repaired) {
-      break;  // nothing violated its fixing bar; the phase is clean
-    }
-    // Repair saturations enqueued fresh excess; drain it too.
   }
 #ifndef NDEBUG
   // kOk certifies feasibility; a drain loop that exited early (e.g. a
-  // miscounted wave active set) would leave positive excess behind and
+  // missed FIFO activation) would leave positive excess behind and
   // silently return an infeasible "optimal" flow.
   for (uint32_t v = 0; v < n; ++v) {
     DCHECK_LE(excess_[v], 0);

@@ -22,8 +22,6 @@ CostScalingOptions MakeCostScalingOptions(const RacingSolverOptions& options) {
   CostScalingOptions cs;
   cs.alpha = options.cost_scaling_alpha;
   cs.incremental = options.mode != SolverMode::kCostScalingScratch;
-  cs.arc_fixing = options.cost_scaling_arc_fixing;
-  cs.arc_fix_persist = options.cost_scaling_arc_fix_persist;
   return cs;
 }
 

@@ -49,11 +49,6 @@ struct RacingSolverOptions {
   // §6.2 price refine at the relaxation -> cost scaling handoff (Fig. 13
   // ablates this).
   bool price_refine_on_handoff = true;
-  // Speculative arc fixing for the cost-scaling leg (see
-  // CostScalingOptions::{arc_fixing, arc_fix_persist}); exposed here so
-  // scheduler-level benches can ablate the persistent variant.
-  bool cost_scaling_arc_fixing = false;
-  bool cost_scaling_arc_fix_persist = true;
   // Per-round solve-time budget (0 = unlimited). When set, every leg polls
   // a shared SolveDeadline at its cancellation sites; once it expires the
   // round returns SolveOutcome::kDegraded — no flow is installed, the
