@@ -39,6 +39,11 @@ size_t CountMisplaced(const std::unordered_map<TaskId, MachineId>& optimal,
   return misplaced;
 }
 
+std::unordered_map<TaskId, MachineId> ExtractPlacementMap(const FlowGraphManager& manager) {
+  ExtractionResult extraction = ExtractPlacements(manager);
+  return {extraction.placements.begin(), extraction.placements.end()};
+}
+
 void Approximate(benchmark::State& state) {
   // Highly-utilized cluster with a large pending job (cf. Fig. 8).
   const int machines = bench::Scaled(400, 1250);
@@ -55,8 +60,7 @@ void Approximate(benchmark::State& state) {
   FlowNetwork optimal_net = base;
   SolveStats full_stats = full_solver.Solve(&optimal_net);
   env.network()->CopyFlowFrom(optimal_net);
-  std::unordered_map<TaskId, MachineId> cs_optimal =
-      ExtractPlacements(env.manager()).placements;
+  std::unordered_map<TaskId, MachineId> cs_optimal = ExtractPlacementMap(env.manager());
   double full_s = static_cast<double>(full_stats.runtime_us) / 1e6;
 
   Relaxation relax_ref;
@@ -64,8 +68,7 @@ void Approximate(benchmark::State& state) {
   double relax_full_s =
       static_cast<double>(relax_ref.Solve(&relax_net_ref).runtime_us) / 1e6;
   env.network()->CopyFlowFrom(relax_net_ref);
-  std::unordered_map<TaskId, MachineId> relax_optimal =
-      ExtractPlacements(env.manager()).placements;
+  std::unordered_map<TaskId, MachineId> relax_optimal = ExtractPlacementMap(env.manager());
 
   for (auto _ : state) {
     for (double fraction : {0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
@@ -76,7 +79,7 @@ void Approximate(benchmark::State& state) {
         FlowNetwork net = base;
         approx_solver.Solve(&net);
         env.network()->CopyFlowFrom(net);
-        auto placements = ExtractPlacements(env.manager()).placements;
+        auto placements = ExtractPlacementMap(env.manager());
         g_points.push_back(
             {"cost_scaling", fraction * full_s, fraction, CountMisplaced(cs_optimal, placements)});
       }
@@ -91,7 +94,7 @@ void Approximate(benchmark::State& state) {
         FlowNetwork net = base;
         approx_solver.Solve(&net);
         env.network()->CopyFlowFrom(net);
-        auto placements = ExtractPlacements(env.manager()).placements;
+        auto placements = ExtractPlacementMap(env.manager());
         g_points.push_back(
             {"relaxation", fraction * relax_full_s, fraction, CountMisplaced(relax_optimal, placements)});
       }

@@ -93,6 +93,14 @@ if [ "${FIRMAMENT_SKIP_SANITIZE:-0}" != "1" ]; then
   cmake --build build-tsan -j "$(nproc)"
   ctest --test-dir build-tsan --output-on-failure \
     -R 'policy_delta_test|scheduler_integration_test|service_test|trace_test|placement_template_test|federation_test'
+
+  # The race crosses threads inside the solver itself: the cost-scaling leg
+  # runs on the persistent worker against the same const network, the
+  # cancel tokens flip across legs, and the deferred price refine reads
+  # relaxation's view on the worker while the caller applies the round.
+  # TSan proves the joins order those accesses.
+  ./build-tsan/solvers_test \
+    --gtest_filter='*RacingSolverTest.*:PriceRefineTest.*:SolverBasicsTest.CancellationStopsSolver'
 fi
 
 BASELINE_DIR="$(mktemp -d)"

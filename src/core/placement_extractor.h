@@ -10,7 +10,8 @@
 #ifndef SRC_CORE_PLACEMENT_EXTRACTOR_H_
 #define SRC_CORE_PLACEMENT_EXTRACTOR_H_
 
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/core/flow_graph_manager.h"
 #include "src/core/types.h"
@@ -18,9 +19,12 @@
 namespace firmament {
 
 struct ExtractionResult {
-  // Task -> machine; tasks routed through an unscheduled aggregator map to
-  // kInvalidMachineId.
-  std::unordered_map<TaskId, MachineId> placements;
+  // (task, machine) for every task whose flow resolved to a destination,
+  // each task exactly once; tasks routed through an unscheduled aggregator
+  // map to kInvalidMachineId. Entries are in resolution order — the order
+  // the backward propagation reaches the task nodes — which is a
+  // deterministic function of the network's node and adjacency order.
+  std::vector<std::pair<TaskId, MachineId>> placements;
 };
 
 // Extracts placements from the manager's (solved) flow network.

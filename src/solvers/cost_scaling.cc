@@ -51,6 +51,10 @@ int64_t MaxViolation(const std::vector<ResidualEntry>& star, const std::vector<i
 // least n/8 relabels have happened graph-wide since the last update (so easy
 // instances, where storms never form, pay nothing).
 constexpr uint32_t kRelabelStormPeriod = 32;
+
+// Work units (pushes, plus adjacency entries scanned by relabels and the
+// global price update) between cancellation/deadline polls.
+constexpr uint64_t kPollPeriod = 4096;
 uint32_t GlobalUpdateThreshold(uint32_t num_nodes) { return 16 + num_nodes / 8; }
 
 }  // namespace
@@ -63,6 +67,7 @@ void CostScaling::ImportPotentials(std::vector<int64_t> unscaled_potentials) {
 void CostScaling::ResetState() {
   potential_.clear();
   scale_ = 0;
+  pending_import_.clear();
   has_pending_import_ = false;
   view_.Invalidate();
 }
@@ -82,19 +87,25 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
   stats.view_prep_us = timer.ElapsedMicros();
   // The prologue below is a handful of O(n + m) passes with no discharge
   // polls; under a tight solve budget a cold view build alone can eat the
-  // whole allowance. Bail to kDegraded between passes rather than paying
-  // for work the deadline already invalidated. State stays consistent for
-  // the next round: the view is prepared (journal consumed), retained
-  // potentials are untouched.
-  auto degraded_early = [&](SolveStats* out) {
-    out->outcome = SolveOutcome::kDegraded;
-    out->deadline_exceeded = true;
-    out->flow_valid = false;
-    out->runtime_us = timer.ElapsedMicros();
-  };
-  if (DeadlineExpired()) {
-    degraded_early(&stats);
+  // whole allowance, and a race's losing leg would run them all before
+  // noticing it lost. Bail between passes — kCancelled or kDegraded —
+  // rather than paying for work the race or the deadline already
+  // invalidated. State stays consistent for the next round: the view is
+  // prepared (journal consumed), retained and imported potentials are
+  // untouched.
+  auto stopped_early = [&](RefineResult why) {
+    if (why == RefineResult::kCancelled) {
+      stats.outcome = SolveOutcome::kCancelled;
+    } else {
+      stats.outcome = SolveOutcome::kDegraded;
+      stats.deadline_exceeded = true;
+    }
+    stats.flow_valid = false;
+    stats.runtime_us = timer.ElapsedMicros();
     return stats;
+  };
+  if (RefineResult why = Poll(cancel); why != RefineResult::kOk) {
+    return stopped_early(why);
   }
   const uint32_t n = view.num_nodes();
   const int64_t scale = CostScaleFor(n);
@@ -115,13 +126,12 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
   // --- Establish starting flow and potentials (dense domain) ---------------
   if (has_pending_import_) {
     // Relaxation -> cost scaling handoff (§6.2): potentials are unscaled,
-    // keyed by original NodeId.
+    // keyed by original NodeId. The import is consumed once the prologue
+    // has passed its last poll.
     view.GatherPotentials(pending_import_, &pi_);
     for (auto& p : pi_) {
       p *= scale;
     }
-    pending_import_.clear();
-    has_pending_import_ = false;
   } else if (options_.incremental && scale_ != 0) {
     view.GatherPotentials(potential_, &pi_);
     if (scale_ != scale) {
@@ -135,7 +145,6 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
   } else {
     pi_.assign(n, 0);
   }
-  scale_ = scale;
   if (!options_.incremental) {
     view.ClearFlow();
   } else {
@@ -164,10 +173,13 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
   }
 
   // --- Choose the starting ε -----------------------------------------------
-  if (DeadlineExpired()) {
-    degraded_early(&stats);
-    return stats;
+  if (RefineResult why = Poll(cancel); why != RefineResult::kOk) {
+    return stopped_early(why);
   }
+  // Past the last prologue poll: pi_ now supersedes the retained state.
+  scale_ = scale;
+  pending_import_.clear();
+  has_pending_import_ = false;
   const int64_t max_eps = std::max<int64_t>(1, max_cost * scale);
   int64_t eps0;
   bool warm_refine = true;
@@ -265,6 +277,7 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
     }
     warm_budget = 0;
     if (result == RefineResult::kCancelled) {
+      stats.outcome = SolveOutcome::kCancelled;
       finish(&stats);
       return stats;
     }
@@ -330,7 +343,19 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
   return stats;
 }
 
-void CostScaling::GlobalPriceUpdate(const FlowNetworkView& view, int64_t eps) {
+CostScaling::RefineResult CostScaling::Poll(const std::atomic<bool>* cancel) const {
+  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    return RefineResult::kCancelled;
+  }
+  if (DeadlineExpired()) {
+    return RefineResult::kDeadline;
+  }
+  return RefineResult::kOk;
+}
+
+CostScaling::RefineResult CostScaling::GlobalPriceUpdate(const FlowNetworkView& view,
+                                                         int64_t eps,
+                                                         const std::atomic<bool>* cancel) {
   const uint32_t n = view.num_nodes();
   const uint32_t kUnreached = n + 1;
   dist_.assign(n, kUnreached);
@@ -350,17 +375,23 @@ void CostScaling::GlobalPriceUpdate(const FlowNetworkView& view, int64_t eps) {
   }
   if (active_remaining == 0 || !any_deficit) {
     buckets_[0].clear();
-    return;
+    return RefineResult::kOk;
   }
 
   // Multi-source Dial pass from the deficit set over *reversed* residual
   // arcs. Arc (u -> v) has length floor(c_pi/ε) + 1 >= 0 (ε-optimality
   // guarantees c_pi >= -ε), so distances are in "relabels needed" units.
-  // Stops as soon as every active node is settled.
+  // Stops as soon as every active node is settled, or — polled like the
+  // relabel scans, weighted by adjacency walked — once the race or the
+  // deadline stops the solve; an interrupted pass returns before repricing,
+  // so pi_ stays ε-optimal.
   uint32_t max_filled = 0;
   uint32_t b_max_settled = 0;
   bool all_actives_settled = false;
-  for (uint32_t b = 0; b <= n && !all_actives_settled; ++b) {
+  uint64_t scanned_since_poll = 0;
+  RefineResult interrupted = RefineResult::kOk;
+  for (uint32_t b = 0; b <= n && !all_actives_settled && interrupted == RefineResult::kOk;
+       ++b) {
     std::vector<uint32_t>& bucket = buckets_[b];
     while (!bucket.empty()) {
       uint32_t v = bucket.back();
@@ -374,8 +405,16 @@ void CostScaling::GlobalPriceUpdate(const FlowNetworkView& view, int64_t eps) {
         break;
       }
       // Relax residual arcs into v: the reversed refs of v's adjacency.
+      const uint32_t* begin = view.AdjBegin(v);
       const uint32_t* end = view.AdjEnd(v);
-      for (const uint32_t* it = view.AdjBegin(v); it != end; ++it) {
+      scanned_since_poll += static_cast<uint64_t>(end - begin) + 1;
+      if (scanned_since_poll >= kPollPeriod) {
+        scanned_since_poll = 0;
+        if ((interrupted = Poll(cancel)) != RefineResult::kOk) {
+          break;
+        }
+      }
+      for (const uint32_t* it = begin; it != end; ++it) {
         uint32_t out_ref = *it;                // v -> u direction
         uint32_t in_ref = out_ref ^ 1u;        // u -> v direction
         const ResidualEntry& in_entry = star_[in_ref];
@@ -398,6 +437,9 @@ void CostScaling::GlobalPriceUpdate(const FlowNetworkView& view, int64_t eps) {
   for (uint32_t b = b_max_settled; b <= max_filled; ++b) {
     buckets_[b].clear();
   }
+  if (interrupted != RefineResult::kOk) {
+    return interrupted;
+  }
 
   // Reprice: pi(v) += min(dist(v), D)·ε with D = the deepest settled
   // bucket. Capping every unsettled node at the same D preserves
@@ -418,6 +460,7 @@ void CostScaling::GlobalPriceUpdate(const FlowNetworkView& view, int64_t eps) {
       pi_[v] += static_cast<int64_t>(d) * eps;
     }
   }
+  return RefineResult::kOk;
 }
 
 CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t eps,
@@ -428,12 +471,8 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
   FlowNetworkView& view = *view_ptr;
   const uint32_t n = view.num_nodes();
   const uint32_t m = view.num_arcs();
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-    stats->outcome = SolveOutcome::kCancelled;
-    return RefineResult::kCancelled;
-  }
-  if (DeadlineExpired()) {
-    return RefineResult::kDeadline;
+  if (RefineResult why = Poll(cancel); why != RefineResult::kOk) {
+    return why;
   }
 
   // Partial saturation: ε-optimality only requires c_pi >= -ε on residual
@@ -458,6 +497,9 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
       fwd.residual += rev.residual;
       rev.residual = 0;
     }
+  }
+  if (RefineResult why = Poll(cancel); why != RefineResult::kOk) {
+    return why;
   }
 
   cur_arc_.resize(n);
@@ -486,7 +528,9 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
   }
 
   if (price_update_first && !fifo.empty()) {
-    GlobalPriceUpdate(view, eps);
+    if (RefineResult why = GlobalPriceUpdate(view, eps, cancel); why != RefineResult::kOk) {
+      return why;
+    }
   }
 
   // Fully discharges v: pushes excess along admissible arcs, relabeling when
@@ -514,14 +558,10 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
               fifo.push_back(w);
               in_queue_[w] = true;
             }
-            if (++pushes_since_poll >= 4096) {
+            if (++pushes_since_poll >= kPollPeriod) {
               pushes_since_poll = 0;
-              if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-                stats->outcome = SolveOutcome::kCancelled;
-                return RefineResult::kCancelled;
-              }
-              if (DeadlineExpired()) {
-                return RefineResult::kDeadline;
+              if (RefineResult why = Poll(cancel); why != RefineResult::kOk) {
+                return why;
               }
             }
             if (iteration_budget != 0 && stats->iterations - start_iterations > iteration_budget) {
@@ -570,14 +610,10 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
         // it as a single event would let thousands of such scans run
         // between deadline polls and overshoot tight solve budgets.
         pushes_since_poll += static_cast<uint64_t>(end - begin);
-        if (++pushes_since_poll >= 4096) {
+        if (++pushes_since_poll >= kPollPeriod) {
           pushes_since_poll = 0;
-          if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-            stats->outcome = SolveOutcome::kCancelled;
-            return RefineResult::kCancelled;
-          }
-          if (DeadlineExpired()) {
-            return RefineResult::kDeadline;
+          if (RefineResult why = Poll(cancel); why != RefineResult::kOk) {
+            return why;
           }
         }
         if (++relabel_count_[v] > relabel_bound) {
@@ -598,7 +634,10 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
           // skipping n resets (plus the rescans they cause) is a measured
           // win on large graphs.
           relabels_since_update = 0;
-          GlobalPriceUpdate(view, eps);
+          if (RefineResult why = GlobalPriceUpdate(view, eps, cancel);
+              why != RefineResult::kOk) {
+            return why;
+          }
         }
       }
       CHECK(pushed_or_relabeled);

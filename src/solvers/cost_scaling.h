@@ -65,6 +65,9 @@ class CostScaling : public McmfSolver {
   // NodeId, to warm-start the next Solve() — used for the relaxation ->
   // cost scaling handoff after price refine (§6.2). Takes effect once.
   void ImportPotentials(std::vector<int64_t> unscaled_potentials);
+  // The imported potentials the next Solve() will consume; empty when none
+  // is pending.
+  const std::vector<int64_t>& pending_import() const { return pending_import_; }
 
   // Drops all retained state; the next Solve() runs from scratch even in
   // incremental mode.
@@ -86,8 +89,13 @@ class CostScaling : public McmfSolver {
                       uint64_t iteration_budget = 0);
   // Dial-bucket shortest-path repricing from the deficit nodes (global
   // price update heuristic [17]). Raises pi_ so that every settled active
-  // node regains an admissible path towards a deficit.
-  void GlobalPriceUpdate(const FlowNetworkView& view, int64_t eps);
+  // node regains an admissible path towards a deficit. Returns kCancelled
+  // or kDeadline, with pi_ unchanged, when a poll stops it mid-pass.
+  RefineResult GlobalPriceUpdate(const FlowNetworkView& view, int64_t eps,
+                                 const std::atomic<bool>* cancel);
+  // One cooperative poll: kCancelled if the race's token fired, kDeadline
+  // if the round's solve budget expired, kOk otherwise.
+  RefineResult Poll(const std::atomic<bool>* cancel) const;
 
   CostScalingOptions options_;
   // Retained node potentials keyed by original NodeId, in the scaled cost

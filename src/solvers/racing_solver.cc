@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/base/check.h"
 #include "src/base/timer.h"
@@ -32,14 +34,39 @@ RacingSolver::RacingSolver(RacingSolverOptions options)
       relaxation_(MakeRelaxationOptions(options)),
       cost_scaling_(MakeCostScalingOptions(options)) {}
 
+RacingSolver::~RacingSolver() {
+  if (async_in_flight_) {
+    async_ticket_.Wait();
+  }
+  JoinRefine();
+}
+
+void RacingSolver::JoinRefine() {
+  if (!refine_pending_) {
+    return;
+  }
+  WallTimer wait_timer;
+  refine_ticket_.Wait();
+  refine_wait_us_ = wait_timer.ElapsedMicros();
+  refine_pending_ = false;
+}
+
 void RacingSolver::ResetState() {
   CHECK(!async_in_flight_);
+  JoinRefine();
   relaxation_.ResetState();
   cost_scaling_.ResetState();
 }
 
+const std::vector<int64_t>& RacingSolver::pending_handoff() {
+  CHECK(!async_in_flight_);
+  JoinRefine();
+  return cost_scaling_.pending_import();
+}
+
 void RacingSolver::SolveAsync(FlowNetwork* network) {
   CHECK(!async_in_flight_);
+  JoinRefine();
   if (async_worker_ == nullptr) {
     async_worker_ = std::make_unique<ThreadPool>(1);
   }
@@ -59,7 +86,10 @@ bool RacingSolver::async_solve_done() const {
 }
 
 SolveStats RacingSolver::Solve(FlowNetwork* network) {
+  JoinRefine();
   last_round_ = RoundStats{};
+  last_round_.refine_wait_us = std::exchange(refine_wait_us_, 0);
+  last_round_.price_refine_us = std::exchange(refine_us_, 0);
   // One shared deadline per round: all legs poll it at their cancellation
   // sites and return kDegraded once it expires, bounding the control loop's
   // stall on an overrun solve (the first expiry flips a sticky flag, so the
@@ -169,18 +199,23 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
     // and flow, and shortest-path distances depend neither on adjacency
     // order nor on tombstoned arcs (zero residual), so the potentials equal
     // PriceRefine(*network)'s without building a third view this round.
-    WallTimer refine_timer;
+    // Only the next round reads them, so the refine runs on the race's
+    // worker while the caller applies this round; the next Solve() joins it.
     if (options_.price_refine_on_handoff) {
-      const FlowNetworkView& view = relaxation_.view();
-      std::vector<int64_t> dense;
-      CHECK(ComputeOptimalPotentials(view, &dense));
-      std::vector<int64_t> refined;
-      view.ScatterPotentials(dense, &refined);
-      cost_scaling_.ImportPotentials(std::move(refined));
+      refine_pending_ = true;
+      refine_ticket_ = worker_->Submit([this] {
+        WallTimer refine_timer;
+        const FlowNetworkView& view = relaxation_.view();
+        std::vector<int64_t> dense;
+        CHECK(ComputeOptimalPotentials(view, &dense));
+        std::vector<int64_t> refined;
+        view.ScatterPotentials(dense, &refined);
+        cost_scaling_.ImportPotentials(std::move(refined));
+        refine_us_ = refine_timer.ElapsedMicros();
+      });
     } else {
       cost_scaling_.ImportPotentials(relaxation_.potentials());
     }
-    last_round_.price_refine_us = refine_timer.ElapsedMicros();
   }
   return result;
 }

@@ -8,7 +8,12 @@
 //
 // State handoff (§6.2): when relaxation wins, price refine recomputes
 // reduced potentials from its solution so the next incremental cost scaling
-// run warm-starts cheaply (Fig. 13 shows 4x).
+// run warm-starts cheaply (Fig. 13 shows 4x). Only the next round reads
+// those potentials, so the refine is off the round's critical path: once
+// the winning flow is written back, Solve() queues it on the race's worker
+// and returns. The next Solve() (and SolveAsync, ResetState, the
+// destructor) joins it before touching either algorithm's state; the
+// worker's FIFO would run it ahead of the next cost-scaling leg anyway.
 //
 // Race isolation (§6.2 incremental contract): both algorithms race on their
 // own *persistent* FlowNetworkViews of the one canonical (const) network —
@@ -65,7 +70,12 @@ struct RoundStats {
   // Per-algorithm stats for the round; losers report kCancelled.
   SolveStats relaxation;
   SolveStats cost_scaling;
+  // The previous round's deferred price refine, reported on the round that
+  // joins it: its own run time, and how long this Solve() blocked waiting
+  // for it (~0 — the caller's apply, event and graph-update work normally
+  // covers it). Both 0 when no refine was pending.
   uint64_t price_refine_us = 0;
+  uint64_t refine_wait_us = 0;
   // Race only: time the round waited for the cost-scaling leg after the
   // relaxation leg returned (when relaxation won, the cancelled leg's run
   // to its next cancellation check).
@@ -75,6 +85,7 @@ struct RoundStats {
 class RacingSolver {
  public:
   explicit RacingSolver(RacingSolverOptions options = {});
+  ~RacingSolver();
 
   RacingSolver(const RacingSolver&) = delete;
   RacingSolver& operator=(const RacingSolver&) = delete;
@@ -110,6 +121,11 @@ class RacingSolver {
   // Drops warm state (e.g. when switching workloads in benchmarks).
   void ResetState();
 
+  // Joins any deferred price refine and returns the (unscaled, NodeId-keyed)
+  // potentials the next cost-scaling run will import; empty when no
+  // handoff is pending. For tests of the relaxation -> cost scaling handoff.
+  const std::vector<int64_t>& pending_handoff();
+
   // Threads ever spawned for the race's cost-scaling leg — a *monotonic*
   // counter, so a regression back to per-round workers (recreating the
   // pool each Solve) shows up as a number that grows with rounds, not as a
@@ -120,6 +136,9 @@ class RacingSolver {
 
  private:
   SolveStats SolveRace(FlowNetwork* network);
+  // Blocks until the deferred price refine (if any) has finished and
+  // records the wait for the next round's RoundStats.
+  void JoinRefine();
 
   RacingSolverOptions options_;
   Relaxation relaxation_;
@@ -129,6 +148,12 @@ class RacingSolver {
   // on the first kRace round so single-algorithm modes never hold a thread.
   std::unique_ptr<ThreadPool> worker_;
   size_t worker_spawns_ = 0;
+  // Deferred price refine queued on worker_ when relaxation won; refine_us_
+  // is written on the worker and read after the ticket's Wait.
+  ThreadPool::Ticket refine_ticket_;
+  bool refine_pending_ = false;
+  uint64_t refine_us_ = 0;
+  uint64_t refine_wait_us_ = 0;
   // Persistent dispatch worker for SolveAsync; lazy so synchronous callers
   // never hold the extra thread. async_result_ is written on the worker and
   // read after the ticket's Wait/Done, which order the accesses.

@@ -1,10 +1,17 @@
 // Tests for the scheduler core: cluster state, flow graph manager, the three
 // scheduling policies, placement extraction, and the end-to-end scheduler.
 
+#include <algorithm>
+#include <deque>
 #include <map>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/base/rng.h"
 #include "src/core/cluster.h"
 #include "src/core/flow_graph_manager.h"
 #include "src/core/load_spreading_policy.h"
@@ -12,6 +19,8 @@
 #include "src/core/placement_extractor.h"
 #include "src/core/quincy_policy.h"
 #include "src/core/scheduler.h"
+#include "src/sim/block_store.h"
+#include "src/solvers/relaxation.h"
 #include "src/solvers/solution_checker.h"
 
 namespace firmament {
@@ -497,6 +506,201 @@ TEST(PlacementExtractorTest, ResolvesThroughAggregatorChains) {
     EXPECT_LT(cluster.task(task).machine, 4u);
   }
 }
+
+// Reference Listing 1 on plain containers — per-node destination vectors,
+// a deque of resolved nodes, a task -> machine hash map — that the
+// flat-array ExtractPlacements must agree with.
+std::unordered_map<TaskId, MachineId> ReferenceExtractPlacements(
+    const FlowGraphManager& manager) {
+  const FlowNetwork& net = manager.network();
+  const NodeId sink = manager.sink();
+  std::unordered_map<TaskId, MachineId> placements;
+  std::vector<std::vector<MachineId>> destinations(net.NodeCapacity());
+  std::vector<int64_t> pending(net.NodeCapacity(), 0);
+  std::deque<NodeId> resolved;
+  for (NodeId node : net.ValidNodes()) {
+    if (node == sink) {
+      continue;
+    }
+    int64_t outflow = 0;
+    for (ArcRef ref : net.Adjacency(node)) {
+      if (FlowNetwork::RefIsReverse(ref)) {
+        continue;
+      }
+      ArcId arc = FlowNetwork::RefArc(ref);
+      int64_t flow = net.Flow(arc);
+      if (flow <= 0) {
+        continue;
+      }
+      outflow += flow;
+      if (net.Dst(arc) == sink) {
+        MachineId self = net.Kind(node) == NodeKind::kMachine ? manager.MachineForNode(node)
+                                                              : kInvalidMachineId;
+        destinations[node].insert(destinations[node].end(), static_cast<size_t>(flow), self);
+      }
+    }
+    pending[node] = outflow - static_cast<int64_t>(destinations[node].size());
+    if (outflow > 0 && pending[node] == 0) {
+      resolved.push_back(node);
+    }
+  }
+  while (!resolved.empty()) {
+    NodeId node = resolved.front();
+    resolved.pop_front();
+    TaskId task = manager.TaskForNode(node);
+    if (task != kInvalidTaskId) {
+      placements[task] = destinations[node].back();
+      continue;
+    }
+    std::vector<MachineId>& dests = destinations[node];
+    size_t cursor = 0;
+    for (ArcRef ref : net.Adjacency(node)) {
+      if (!FlowNetwork::RefIsReverse(ref)) {
+        continue;
+      }
+      ArcId arc = FlowNetwork::RefArc(ref);
+      int64_t flow = net.Flow(arc);
+      if (flow <= 0) {
+        continue;
+      }
+      NodeId src = net.Src(arc);
+      int64_t available = static_cast<int64_t>(dests.size()) - static_cast<int64_t>(cursor);
+      int64_t moved = std::min(flow, available);
+      for (int64_t i = 0; i < moved; ++i) {
+        destinations[src].push_back(dests[cursor++]);
+      }
+      pending[src] -= moved;
+      if (pending[src] == 0) {
+        resolved.push_back(src);
+      }
+    }
+  }
+  return placements;
+}
+
+// ExtractPlacements must report every task at most once and agree with the
+// reference task -> machine map exactly.
+void ExpectMatchesReference(const FlowGraphManager& manager, const std::string& where) {
+  ExtractionResult extraction = ExtractPlacements(manager);
+  std::unordered_map<TaskId, MachineId> got;
+  for (const auto& [task, machine] : extraction.placements) {
+    EXPECT_TRUE(got.emplace(task, machine).second) << where << ": task " << task << " twice";
+  }
+  EXPECT_EQ(got, ReferenceExtractPlacements(manager)) << where;
+}
+
+// Seeded property test over every policy's aggregator shape (Quincy's
+// X -> rack chain over a BlockStore, load spreading's cluster aggregator,
+// network-aware request aggregators), oversubscribed so unscheduled
+// aggregators carry flow, with machine removals and re-adds and task
+// completions recycling node ids. Each round is checked on the optimal flow
+// and on two pseudoflows: a budget-truncated relaxation run and random
+// per-arc flow perturbations (nodes whose inflow exceeds their outflow
+// deliver fewer destinations than their upstream tasks need).
+class ExtractionEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ExtractionEquivalenceTest, FlatExtractionMatchesReference) {
+  const uint64_t seed = GetParam();
+  ClusterState cluster;
+  BlockStore store(&cluster, seed + 1);
+  std::unique_ptr<SchedulingPolicy> policy;
+  switch (seed % 3) {
+    case 0:
+      policy = std::make_unique<QuincyPolicy>(&cluster, &store);
+      break;
+    case 1:
+      policy = std::make_unique<LoadSpreadingPolicy>(&cluster);
+      break;
+    default:
+      policy = std::make_unique<NetworkAwarePolicy>(&cluster);
+      break;
+  }
+  FirmamentSchedulerOptions options;
+  options.solver.mode = SolverMode::kCostScalingOnly;
+  FirmamentScheduler scheduler(&cluster, policy.get(), options);
+  BuildCluster(&cluster, 3, 4, {.slots = 2}, &scheduler);
+  Rng rng(seed * 7919 + 13);
+  std::vector<RackId> racks = {0, 1, 2};
+  SimTime now = 0;
+  for (int round = 0; round < 12; ++round) {
+    const std::string where = "seed " + std::to_string(seed) + " round " + std::to_string(round);
+    now += kSec;
+    std::vector<TaskId> running;
+    for (TaskId task : cluster.LiveTasks()) {
+      if (cluster.task(task).state == TaskState::kRunning) {
+        running.push_back(task);
+      }
+    }
+    for (TaskId task : running) {
+      if (rng.NextDouble() < 0.3) {
+        scheduler.CompleteTask(task, now);
+      }
+    }
+    if (round % 3 == 2) {
+      std::vector<MachineId> alive;
+      for (const MachineDescriptor& machine : cluster.machines()) {
+        if (machine.alive) {
+          alive.push_back(machine.id);
+        }
+      }
+      MachineId victim = alive[rng.NextUint64(alive.size())];
+      scheduler.RemoveMachine(victim, now, [&store, victim] { store.OnMachineRemoved(victim); });
+    }
+    if (round % 4 == 3) {
+      scheduler.AddMachine(racks[rng.NextUint64(racks.size())], {.slots = 2});
+    }
+    for (int jobs = static_cast<int>(rng.NextInt(1, 4)); jobs > 0; --jobs) {
+      std::vector<TaskDescriptor> tasks = MakeTasks(static_cast<int>(rng.NextInt(1, 8)));
+      for (TaskDescriptor& task : tasks) {
+        task.input_size_bytes = rng.NextInt(256'000'000, 1'024'000'000);
+        task.input_blocks = store.AllocateInput(task.input_size_bytes);
+        task.bandwidth_request_mbps = rng.NextInt(0, 400);
+      }
+      scheduler.SubmitJob(JobType::kBatch, 0, std::move(tasks), now);
+    }
+    ASSERT_EQ(scheduler.StartRound(now).outcome, SolveOutcome::kOptimal) << where;
+    FlowGraphManager& manager = scheduler.graph_manager();
+    FlowNetwork* net = manager.network();
+    ExpectMatchesReference(manager, where + " optimal");
+
+    std::vector<int64_t> optimal_flow(net->ArcCapacityBound(), 0);
+    for (ArcId arc = 0; arc < net->ArcCapacityBound(); ++arc) {
+      if (net->IsValidArc(arc)) {
+        optimal_flow[arc] = net->Flow(arc);
+      }
+    }
+    auto restore = [&] {
+      for (ArcId arc = 0; arc < net->ArcCapacityBound(); ++arc) {
+        if (net->IsValidArc(arc)) {
+          net->SetFlow(arc, optimal_flow[arc]);
+        }
+      }
+    };
+
+    FlowNetwork truncated = *net;
+    truncated.ClearFlow();
+    RelaxationOptions budgeted;
+    budgeted.time_budget_us = 1;
+    Relaxation relaxation(budgeted);
+    relaxation.Solve(&truncated);
+    net->CopyFlowFrom(truncated);
+    ExpectMatchesReference(manager, where + " budget-truncated");
+    restore();
+
+    for (int trial = 0; trial < 4; ++trial) {
+      for (ArcId arc = 0; arc < net->ArcCapacityBound(); ++arc) {
+        if (net->IsValidArc(arc) && rng.NextDouble() < 0.15) {
+          net->SetFlow(arc, rng.NextInt(0, std::min<int64_t>(net->Capacity(arc), 6)));
+        }
+      }
+      ExpectMatchesReference(manager, where + " perturbed " + std::to_string(trial));
+    }
+    restore();
+    scheduler.ApplyRound(now);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExtractionEquivalenceTest, ::testing::Range<uint64_t>(0, 9));
 
 TEST(PlacementExtractorTest, UnscheduledTasksMapToInvalidMachine) {
   ClusterState cluster;

@@ -646,14 +646,24 @@ TEST(RacingSolverTest, ReportsWinnerAndLoserStats) {
   EXPECT_TRUE(relax_done || cs_done);
 }
 
+// Both race tests below need rounds relaxation wins, so they run on an
+// undersubscribed cluster (600 slots for ~400 tasks), relaxation's home
+// ground (§4.2). On an oversubscribed one the two legs finish within a few
+// percent of each other, and under sanitizer builds cost scaling can take
+// every round.
+SchedulingGraphSpec UndersubscribedRaceSpec() {
+  SchedulingGraphSpec spec;
+  spec.num_tasks = 400;
+  spec.num_machines = 200;
+  spec.seed = 61;
+  return spec;
+}
+
 // The race reports how long it waited for the cost-scaling leg after
 // relaxation returned: set on rounds relaxation wins, never beyond the
 // round's own wall time, and left at 0 outside the race.
 TEST(RacingSolverTest, ReportsLoserWaitWhenRelaxationWins) {
-  SchedulingGraphSpec spec;
-  spec.num_tasks = 400;
-  spec.num_machines = 40;
-  spec.seed = 61;
+  SchedulingGraphSpec spec = UndersubscribedRaceSpec();
   FlowNetwork net = MakeSchedulingGraph(spec);
   net.EnableChangeRecording(true);
   Rng rng(67);
@@ -667,6 +677,9 @@ TEST(RacingSolverTest, ReportsLoserWaitWhenRelaxationWins) {
     ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "round " << round;
     const RoundStats& last = racing.last_round();
     EXPECT_LE(last.loser_wait_us, round_us) << "round " << round;
+    // The join on the previous round's deferred refine happens inside
+    // Solve().
+    EXPECT_LE(last.refine_wait_us, round_us) << "round " << round;
     if (last.winner_algorithm == last.relaxation.algorithm) {
       ++relaxation_wins;
       saw_wait |= last.loser_wait_us > 0;
@@ -681,6 +694,105 @@ TEST(RacingSolverTest, ReportsLoserWaitWhenRelaxationWins) {
   RacingSolver relaxation_only(options);
   ASSERT_EQ(relaxation_only.Solve(&net).outcome, SolveOutcome::kOptimal);
   EXPECT_EQ(relaxation_only.last_round().loser_wait_us, 0u);
+  ASSERT_EQ(relaxation_only.Solve(&net).outcome, SolveOutcome::kOptimal);
+  EXPECT_EQ(relaxation_only.last_round().refine_wait_us, 0u);
+  EXPECT_EQ(relaxation_only.last_round().price_refine_us, 0u);
+}
+
+// The price refine deferred onto the race's worker hands cost scaling
+// exactly what an inline PriceRefine of the solved network computes, entry
+// for entry, after every round relaxation wins; rounds cost scaling wins
+// consume the handoff and leave none pending.
+TEST(RacingSolverTest, DeferredRefineMatchesPriceRefine) {
+  SchedulingGraphSpec spec = UndersubscribedRaceSpec();
+  FlowNetwork net = MakeSchedulingGraph(spec);
+  net.EnableChangeRecording(true);
+  Rng rng(71);
+  RacingSolver racing;
+  int relaxation_wins = 0;
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_EQ(racing.Solve(&net).outcome, SolveOutcome::kOptimal) << "round " << round;
+    const RoundStats& last = racing.last_round();
+    const std::vector<int64_t>& handoff = racing.pending_handoff();
+    if (last.winner_algorithm == last.relaxation.algorithm) {
+      ++relaxation_wins;
+      std::vector<int64_t> expected;
+      ASSERT_TRUE(PriceRefine(net, &expected)) << "round " << round;
+      EXPECT_EQ(handoff, expected) << "round " << round;
+    } else {
+      EXPECT_TRUE(handoff.empty()) << "round " << round;
+    }
+    ApplyRandomChanges(&net, &rng, 6);
+  }
+  EXPECT_GT(relaxation_wins, 0) << "relaxation never won the race";
+}
+
+// Cooperative stops on a warm round: a pre-set cancellation token and an
+// already-expired solve deadline both return before any push or relabel —
+// and before consuming the retained potentials or a pending import — so a
+// following unconstrained solve does exactly the work of a twin solver that
+// never saw the aborted attempts, at the optimal cost.
+TEST(CostScalingStopTest, StopsBeforeTouchingWarmState) {
+  for (bool import : {false, true}) {
+    SCOPED_TRACE(import ? "with imported potentials" : "with retained potentials");
+    SchedulingGraphSpec spec;
+    spec.num_tasks = 120;
+    spec.num_machines = 20;
+    spec.seed = 83;
+    FlowNetwork net_a = MakeSchedulingGraph(spec);
+    net_a.EnableChangeRecording(true);
+    FlowNetwork net_b = net_a;
+    CostScalingOptions options;
+    options.incremental = true;
+    CostScaling stopped(options);
+    CostScaling twin(options);
+    ASSERT_EQ(stopped.Solve(&net_a).outcome, SolveOutcome::kOptimal);
+    ASSERT_EQ(twin.Solve(&net_b).outcome, SolveOutcome::kOptimal);
+    if (import) {
+      std::vector<int64_t> refined;
+      ASSERT_TRUE(PriceRefine(net_a, &refined));
+      stopped.ImportPotentials(refined);
+      twin.ImportPotentials(refined);
+    }
+    Rng rng_a(89);
+    Rng rng_b(89);
+    for (FlowNetwork* net : {&net_a, &net_b}) {
+      net->ClearChanges();
+    }
+    ApplyRandomChanges(&net_a, &rng_a, 8);
+    ApplyRandomChanges(&net_b, &rng_b, 8);
+
+    std::atomic<bool> cancel{true};
+    SolveStats cancelled = stopped.Solve(&net_a, &cancel);
+    EXPECT_EQ(cancelled.outcome, SolveOutcome::kCancelled);
+    EXPECT_EQ(cancelled.iterations, 0u);
+    EXPECT_FALSE(cancelled.flow_valid);
+
+    SolveDeadline expired(0);
+    stopped.set_deadline(&expired);
+    SolveStats degraded = stopped.Solve(&net_a);
+    stopped.set_deadline(nullptr);
+    EXPECT_EQ(degraded.outcome, SolveOutcome::kDegraded);
+    EXPECT_TRUE(degraded.deadline_exceeded);
+    EXPECT_EQ(degraded.iterations, 0u);
+    EXPECT_FALSE(degraded.flow_valid);
+    EXPECT_EQ(stopped.pending_import(), twin.pending_import());
+
+    SolveStats resumed = stopped.Solve(&net_a);
+    SolveStats direct = twin.Solve(&net_b);
+    ASSERT_EQ(resumed.outcome, SolveOutcome::kOptimal);
+    ASSERT_EQ(direct.outcome, SolveOutcome::kOptimal);
+    EXPECT_EQ(resumed.iterations, direct.iterations);
+    EXPECT_EQ(resumed.phases, direct.phases);
+    EXPECT_EQ(resumed.total_cost, direct.total_cost);
+    EXPECT_TRUE(CheckOptimality(net_a).ok());
+
+    FlowNetwork fresh_net = net_a;
+    CostScaling fresh;
+    SolveStats fresh_stats = fresh.Solve(&fresh_net);
+    ASSERT_EQ(fresh_stats.outcome, SolveOutcome::kOptimal);
+    EXPECT_EQ(resumed.total_cost, fresh_stats.total_cost);
+  }
 }
 
 // Approximate termination (§5.1): a tiny budget yields an approximate or
