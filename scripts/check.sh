@@ -54,6 +54,14 @@ if [ "${FIRMAMENT_SKIP_SANITIZE:-0}" != "1" ]; then
   ./build-asan/scheduler_integration_test \
     --gtest_filter='FaultInjectorTest.*:PhaseSplitRoundTest.*:IntegrityRecoveryTest.*:IdempotentEventsTest.*'
 
+  # Flat-array leg: Listing 1 extraction buckets the flow arcs per
+  # destination and slices one destination arena per node, and each task's
+  # arcs live in a flat sorted list diffed through reused scratch buffers.
+  # Flat per-node buckets and arena slices are where an off-by-one reads
+  # past a slice; ASan proves the extraction equivalence sweep and the
+  # task arc-list journal tests read only their own slices.
+  ./build-asan/core_test --gtest_filter='*ExtractionEquivalenceTest*:TaskArcListTest.*'
+
   # Placement-template leg: the template cache holds machine lists and
   # reverse indices across rounds and across machine removals — exactly the
   # stale-pointer shape the other cross-round caches have. ASan proves the

@@ -227,6 +227,18 @@ void FlowGraphManager::EraseArcsTo(ArcMap* arcs, NodeId dst) {
   }
 }
 
+void FlowGraphManager::EraseArcsTo(TaskArcList* arcs, NodeId dst) {
+  auto by_dst = [](const std::pair<ArcKey, ArcId>& entry, NodeId node) {
+    return entry.first.first < node;
+  };
+  auto begin = std::lower_bound(arcs->begin(), arcs->end(), dst, by_dst);
+  auto end = begin;
+  while (end != arcs->end() && end->first.first == dst) {
+    ++end;
+  }
+  arcs->erase(begin, end);
+}
+
 int64_t FlowGraphManager::RampCost(const UnscheduledRamp& ramp, const TaskDescriptor& task,
                                    SimTime now) {
   SimTime wait = task.total_wait;
@@ -390,6 +402,80 @@ void FlowGraphManager::DiffArcs(NodeId src, const std::vector<ArcSpec>& desired,
   *current = std::move(updated);
 }
 
+void FlowGraphManager::DiffArcs(NodeId src, const std::vector<ArcSpec>& desired,
+                                TaskArcList* current) {
+  // One arc in, at most one held (load spreading, federated cells): no
+  // scratch, no sort.
+  if (desired.size() == 1 && current->size() <= 1) {
+    const ArcSpec& spec = desired.front();
+    const ArcKey key{spec.dst, spec.rank};
+    if (!current->empty() && current->front().first == key) {
+      const ArcId arc = current->front().second;
+      network_.SetArcCost(arc, spec.cost);
+      network_.SetArcCapacity(arc, spec.capacity);
+      return;
+    }
+    const ArcId added = network_.AddArc(src, spec.dst, spec.capacity, spec.cost);
+    if (!current->empty()) {
+      network_.RemoveArc(current->front().second);
+    }
+    current->assign(1, {key, added});
+    return;
+  }
+
+  // Sort the desired keys (stable on desired index), then merge them with
+  // the ascending current list: equal neighbours are duplicates, matches
+  // are reused, unmatched current entries are the leftovers — in key order.
+  const size_t k = desired.size();
+  diff_order_.clear();
+  for (size_t i = 0; i < k; ++i) {
+    diff_order_.push_back({ArcKey{desired[i].dst, desired[i].rank}, static_cast<uint32_t>(i)});
+  }
+  std::sort(diff_order_.begin(), diff_order_.end());
+  diff_slots_.assign(k, DiffSlot{});
+  diff_removed_.clear();
+  size_t held = 0;
+  for (size_t o = 0; o < k; ++o) {
+    const auto& [key, index] = diff_order_[o];
+    if (o > 0 && diff_order_[o - 1].first == key) {
+      diff_slots_[index].duplicate = true;
+      continue;
+    }
+    while (held < current->size() && (*current)[held].first < key) {
+      diff_removed_.push_back((*current)[held++].second);
+    }
+    if (held < current->size() && (*current)[held].first == key) {
+      diff_slots_[index].arc = (*current)[held++].second;
+    }
+  }
+  for (; held < current->size(); ++held) {
+    diff_removed_.push_back((*current)[held].second);
+  }
+
+  for (size_t i = 0; i < k; ++i) {
+    DiffSlot& slot = diff_slots_[i];
+    const ArcSpec& spec = desired[i];
+    if (slot.duplicate) {
+      continue;
+    }
+    if (slot.arc != kInvalidArcId) {
+      network_.SetArcCost(slot.arc, spec.cost);
+      network_.SetArcCapacity(slot.arc, spec.capacity);
+    } else {
+      slot.arc = network_.AddArc(src, spec.dst, spec.capacity, spec.cost);
+    }
+  }
+  for (ArcId arc : diff_removed_) {
+    network_.RemoveArc(arc);
+  }
+  current->clear();
+  for (const auto& [key, index] : diff_order_) {
+    if (!diff_slots_[index].duplicate) {
+      current->push_back({key, diff_slots_[index].arc});
+    }
+  }
+}
+
 void FlowGraphManager::DiffArcsTo(NodeId src, NodeId dst, const std::vector<ArcSpec>& desired,
                                   ArcMap* current) {
   // Extract the (dst, *) slice; arcs towards other destinations are not
@@ -484,10 +570,14 @@ size_t FlowGraphManager::CheckIntegrity(std::vector<std::string>* violations) co
     expect(network_.IsValidArc(info.unscheduled_arc) &&
                network_.Src(info.unscheduled_arc) == info.node,
            (who + ": unscheduled arc invalid or mis-wired").c_str());
-    for (const auto& [key, arc] : info.arcs) {
+    for (size_t i = 0; i < info.arcs.size(); ++i) {
+      const auto& [key, arc] = info.arcs[i];
       expect(network_.IsValidArc(arc) && network_.Src(arc) == info.node &&
                  network_.Dst(arc) == key.first,
              (who + ": tracked arc invalid or mis-wired").c_str());
+      // DiffArcs merges against the list and PurgeArcsTo binary-searches it.
+      expect(i == 0 || info.arcs[i - 1].first < key,
+             (who + ": arc list not strictly ascending by (dst, rank)").c_str());
     }
     ++task_nodes;
     ++verified;

@@ -216,12 +216,20 @@ class FlowGraphManager {
  private:
   // Outgoing policy arcs keyed by (destination, parallel-arc rank).
   using ArcKey = std::pair<NodeId, int32_t>;
+  // Aggregator arcs: an ordered map, because load spreading's cluster
+  // aggregator holds ~12k per-slot arcs and edits them one machine slice at
+  // a time (DiffArcsTo), which a flat vector would turn into O(n) shifts.
   using ArcMap = std::map<ArcKey, ArcId>;
+  // Task arcs: a flat list, strictly ascending by key. A task holds a
+  // handful of arcs and is always diffed whole, so a sorted vector beats
+  // the map's per-entry node allocations (CheckIntegrity verifies the
+  // order DiffArcs and PurgeArcsTo rely on).
+  using TaskArcList = std::vector<std::pair<ArcKey, ArcId>>;
 
   struct TaskInfo {
     NodeId node = kInvalidNodeId;
     ArcId unscheduled_arc = kInvalidArcId;
-    ArcMap arcs;
+    TaskArcList arcs;
     // Cached unscheduled-cost ramp (policy API v2) and the heap-entry
     // generation that invalidates stale crossing events.
     UnscheduledRamp ramp;
@@ -275,8 +283,14 @@ class FlowGraphManager {
   };
 
   // Replaces `current` arcs from `src` with `desired`, reusing arcs whose
-  // destination is unchanged (cost/capacity updates instead of re-adds).
+  // (destination, rank) is unchanged (cost/capacity updates instead of
+  // re-adds). The journal is: SetArcCost + SetArcCapacity per reused key
+  // and AddArc per new key, both in desired order (a duplicate key: first
+  // wins), then RemoveArc per leftover in ascending key order. Both
+  // overloads emit exactly this sequence, so arc ids do not depend on
+  // which container holds the arcs.
   void DiffArcs(NodeId src, const std::vector<ArcSpec>& desired, ArcMap* current);
+  void DiffArcs(NodeId src, const std::vector<ArcSpec>& desired, TaskArcList* current);
   // Like DiffArcs but restricted to arcs towards `dst`: desired entries must
   // all target `dst`, and `current` entries towards other destinations are
   // left untouched (machine-granular aggregator updates).
@@ -339,8 +353,9 @@ class FlowGraphManager {
   // equivalence class whose arcs reference it (the node id may be recycled;
   // a stale cached ArcSpec would re-target the recycled node).
   void PurgeArcsTo(NodeId node);
-  // Drops every (dst, rank) entry pointing at `dst` from an arc map.
+  // Drops every (dst, rank) entry pointing at `dst` from an arc container.
   static void EraseArcsTo(ArcMap* arcs, NodeId dst);
+  static void EraseArcsTo(TaskArcList* arcs, NodeId dst);
   // Cross-round class-cache entry: the shared arc specs plus the stamp that
   // tells this incarnation of the class apart from earlier ones in the dst
   // index (specs never change while cached).
@@ -441,6 +456,16 @@ class FlowGraphManager {
   std::priority_queue<RampEntry, std::vector<RampEntry>, std::greater<RampEntry>> ramp_heap_;
 
   std::vector<ArcSpec> scratch_specs_;
+  // Task DiffArcs scratch, reused across calls: desired keys sorted with
+  // their desired index (ties keep desired order, so the first of a
+  // duplicate key sorts first), the per-spec outcome, and the leftovers.
+  struct DiffSlot {
+    ArcId arc = kInvalidArcId;  // reused or added arc
+    bool duplicate = false;
+  };
+  std::vector<std::pair<ArcKey, uint32_t>> diff_order_;
+  std::vector<DiffSlot> diff_slots_;
+  std::vector<ArcId> diff_removed_;
   // Reused plan + (always-empty-memo) shard for the serial RefreshTask
   // wrapper, keeping the default path's hot loop allocation-free.
   TaskRefreshPlan serial_plan_;

@@ -5,7 +5,10 @@
 // aggregators marks tasks as unplaced. Because Firmament allows arbitrary
 // aggregator chains, paths can be longer than in Quincy; the algorithm
 // resolves each node once its full outgoing flow has been accounted for, so
-// extraction is a single pass over the flow-carrying subgraph.
+// extraction is a single pass over the flow-carrying subgraph. That
+// subgraph is gathered by one sequential pass over the arc array, which
+// buckets the flow-carrying arcs by destination; no adjacency list is
+// walked.
 
 #ifndef SRC_CORE_PLACEMENT_EXTRACTOR_H_
 #define SRC_CORE_PLACEMENT_EXTRACTOR_H_

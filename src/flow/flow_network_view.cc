@@ -8,20 +8,28 @@ void FlowNetworkView::Rebuild(const FlowNetwork& net) {
   orig_node_capacity_ = net.NodeCapacity();
 
   // Dense node numbering in increasing original-id order: scheduling graphs
-  // allocate sink / aggregators / machines / tasks in cohorts, so sorting
-  // keeps same-kind nodes adjacent in the dense space.
-  orig_node_ = net.ValidNodes();
-  std::sort(orig_node_.begin(), orig_node_.end());
-  const uint32_t n = static_cast<uint32_t>(orig_node_.size());
-  dense_node_.assign(orig_node_capacity_, kInvalidDense);
+  // allocate sink / aggregators / machines / tasks in cohorts, so id order
+  // keeps same-kind nodes adjacent in the dense space. One scan over the
+  // node slots yields that order directly; ValidNodes() is unordered and
+  // would need a sort.
+  const uint32_t n = static_cast<uint32_t>(net.NumNodes());
+  orig_node_.resize(n);
+  dense_node_.resize(orig_node_capacity_);
   supply_.resize(n);
   kind_.resize(n);
-  for (uint32_t v = 0; v < n; ++v) {
-    NodeId orig = orig_node_[v];
+  uint32_t v = 0;
+  for (NodeId orig = 0; orig < orig_node_capacity_; ++orig) {
+    if (!net.IsValidNode(orig)) {
+      dense_node_[orig] = kInvalidDense;
+      continue;
+    }
+    orig_node_[v] = orig;
     dense_node_[orig] = v;
     supply_[v] = net.Supply(orig);
     kind_[v] = net.Kind(orig);
+    ++v;
   }
+  CHECK_EQ(v, n);
 
   // Dense arcs in increasing original-id order. Sized up front and written
   // by index: push_back's per-element growth check defeats vectorization of

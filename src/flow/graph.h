@@ -107,6 +107,9 @@ class FlowNetwork {
   int64_t Capacity(ArcId arc) const { return arcs_[arc].capacity; }
   int64_t Cost(ArcId arc) const { return arcs_[arc].cost; }
   int64_t Flow(ArcId arc) const { return flow_[arc]; }
+  // Index of the arc's reverse entry in Adjacency(Dst(arc)): the order in
+  // which a walk over the destination's adjacency meets its incoming arcs.
+  uint32_t PosInDst(ArcId arc) const { return arcs_[arc].pos_in_dst; }
   void SetFlow(ArcId arc, int64_t flow) {
     DCHECK_GE(flow, 0);
     flow_[arc] = flow;
