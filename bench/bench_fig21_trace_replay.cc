@@ -99,7 +99,7 @@ struct RoundAgg {
   uint64_t rounds = 0;
   uint64_t update_us = 0;
   uint64_t solve_us = 0;
-  uint64_t apply_us = 0;  // total minus update minus solve
+  uint64_t apply_us = 0;  // ApplyRound wall time (total_runtime_us)
   uint64_t patched = 0;
   uint64_t class_hits = 0;
   uint64_t class_misses = 0;
@@ -140,10 +140,7 @@ void TraceReplay(benchmark::State& state) {
       ++agg.rounds;
       agg.update_us += result.graph_update_us;
       agg.solve_us += result.algorithm_runtime_us;
-      uint64_t accounted = result.graph_update_us + result.algorithm_runtime_us;
-      agg.apply_us += result.total_runtime_us > accounted
-                          ? result.total_runtime_us - accounted
-                          : 0;
+      agg.apply_us += result.total_runtime_us;
       if (result.solver_stats.view_prep == FlowNetworkView::PrepareResult::kPatched) {
         ++agg.patched;
       }

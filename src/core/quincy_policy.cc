@@ -347,8 +347,8 @@ void QuincyPolicy::EquivClassArcs(const TaskDescriptor& representative, SimTime 
     rack_costs.resize(static_cast<size_t>(params_.max_rack_preference_arcs));
   }
   for (const auto& [cost, rack] : rack_costs) {
-    // Pure lookup (threading contract: this hook runs concurrently under
-    // the sharded update pipeline and must not create graph nodes).
+    // Pure lookup (scheduling_policy.h: arc hooks must not create graph
+    // nodes).
     NodeId rack_node = manager_->FindAggregator(RackKey(rack));
     if (rack_node != kInvalidNodeId) {
       out->push_back({rack_node, 1, cost, 0});
@@ -357,10 +357,10 @@ void QuincyPolicy::EquivClassArcs(const TaskDescriptor& representative, SimTime 
 }
 
 void QuincyPolicy::AggregatorArcs(NodeId aggregator, std::vector<ArcSpec>* out) {
-  // Runs concurrently under the sharded update pipeline: aggregator lookups
-  // must stay pure (FindAggregator), never creating. A non-empty rack always
-  // has its aggregator — OnMachineAdded creates it before any arc refresh
-  // and OnMachineRemoved drains it only with the last machine.
+  // Aggregator lookups stay pure (FindAggregator), never creating. A
+  // non-empty rack always has its aggregator — OnMachineAdded creates it
+  // before any arc refresh and OnMachineRemoved drains it only with the
+  // last machine.
   if (aggregator == cluster_agg_) {
     // X fans out to every non-empty rack; costs are on task arcs (Quincy
     // prices the worst case on the task -> X arc).

@@ -54,7 +54,10 @@ struct SchedulerRoundResult {
   // deltas, §6.3) — the "total minus algorithm" slice of Fig. 2b that the
   // delta-driven policy API keeps O(|changed|).
   uint64_t graph_update_us = 0;
-  uint64_t total_runtime_us = 0;      // incl. graph update + extraction
+  // Wall time of ApplyRound: placement extraction, the delta diff, applying
+  // the deltas and replaying staged events. It excludes the graph update
+  // and the solve above, which run in StartRound before it.
+  uint64_t total_runtime_us = 0;
   size_t tasks_placed = 0;
   size_t tasks_preempted = 0;
   size_t tasks_migrated = 0;

@@ -39,21 +39,25 @@
 //    declared inputs and live topology — in particular it must NOT depend on
 //    `now` or on any statistic the policy does not invalidate on.
 //
-// Threading contract (sharded update pipeline). When the manager runs with
-// FlowGraphManagerOptions::update_shards > 0, the *compute* hooks —
+// Threading contract. One manager calls its policy's hooks from one thread
+// at a time, and UpdateRound calls them serially in a fixed order, so no
+// hook runs concurrently with another on the same policy. The arc hooks —
 // TaskEquivClass, EquivClassArcs, TaskSpecificArcs, UnscheduledCostRamp,
-// AggregatorArcs, AggregatorMachineArcs — are called concurrently from
-// multiple worker threads within one UpdateRound. They must therefore be
-// pure readers: they may read the ClusterState, the locality source, the
-// policy's own fields, and the manager's const lookups (NodeForMachine,
-// FindAggregator, HasAggregator), but must not mutate policy state, create
-// aggregators (use FindAggregator, never GetOrCreateAggregator), or touch
-// the flow network. All mutating hooks — Initialize, the On* lifecycle
-// hooks, BeginRound, and CollectDirty — remain strictly serial and are
-// ordered before any concurrent compute; policies keep their bookkeeping
-// there. PolicyDirtySink marks are collected serially in CollectDirty and
-// merged into ordered per-round dirty sets before sharding, so sink calls
-// never race either.
+// AggregatorArcs, AggregatorMachineArcs — must be pure readers, because
+// the cross-round class cache relies on it: they may read the
+// ClusterState, the locality source, the policy's own fields, and the
+// manager's const lookups (NodeForMachine, FindAggregator, HasAggregator),
+// but must not mutate policy state, create aggregators (use FindAggregator,
+// never GetOrCreateAggregator), or touch the flow network. Policy
+// bookkeeping belongs in the mutating hooks: Initialize, the On* lifecycle
+// hooks, BeginRound, and CollectDirty.
+//
+// What does run concurrently: federated cells (src/federation), each with
+// its own cluster, manager and policy instance, run their rounds in
+// parallel on the coordinator's pool, so policy instances must share no
+// mutable state; and the racing solver's worker solves on the const flow
+// network while the caller waits or stages events, never calling a policy
+// hook.
 
 #ifndef SRC_CORE_SCHEDULING_POLICY_H_
 #define SRC_CORE_SCHEDULING_POLICY_H_

@@ -306,114 +306,110 @@ std::vector<JournalEntry> ScriptedRound(FlowGraphManager* manager, ScriptedArcsP
 // SetArcCapacity and new keys AddArc, both in desired order, a duplicate key
 // is ignored (first wins), and leftovers are removed in ascending
 // (dst, rank) order — which fixes the free list and so every later arc id.
-// Run on the serial and the sharded update paths.
 TEST(TaskArcListTest, DiffJournalIsExact) {
   using Kind = GraphChange::Kind;
-  for (int shards : {0, 2}) {
-    SCOPED_TRACE("update_shards " + std::to_string(shards));
-    ClusterState cluster;
-    ScriptedArcsPolicy policy;
-    FlowGraphManager manager(&cluster, &policy, {.update_shards = shards});
-    BuildCluster(&cluster, 1, 6, {.slots = 4});
-    for (const MachineDescriptor& machine : cluster.machines()) {
-      manager.AddMachine(machine.id);
-    }
-    JobId job = cluster.SubmitJob(JobType::kBatch, 0, 0);
-    manager.AddTask(cluster.AddTaskToJob(job, {}), 0);
-    const NodeId task_node = manager.NodeForTask(cluster.job(job).tasks[0]);
-    const FlowNetwork& net = *manager.network();
-    auto arc_to = [&](MachineId machine, int64_t cost) {
-      for (ArcRef ref : net.Adjacency(task_node)) {
-        ArcId arc = FlowNetwork::RefArc(ref);
-        if (!FlowNetwork::RefIsReverse(ref) && net.Dst(arc) == manager.NodeForMachine(machine) &&
-            net.Cost(arc) == cost) {
-          return arc;
-        }
-      }
-      ADD_FAILURE() << "no arc to machine " << machine << " at cost " << cost;
-      return kInvalidArcId;
-    };
-
-    // Fresh task: a continuation arc to m1 collides with the class arc to
-    // m1 (the specific arc comes first and wins), and the class repeats m2.
-    std::vector<JournalEntry> journal = ScriptedRound(
-        &manager, &policy, {{1, 0, 1, 5}},
-        {{0, 0, 1, 10}, {1, 0, 1, 11}, {2, 0, 1, 12}, {2, 0, 1, 99}, {3, 0, 1, 13}});
-    ASSERT_EQ(journal.size(), 4u);
-    const ArcId a1 = arc_to(1, 5);
-    const ArcId a0 = arc_to(0, 10);
-    const ArcId a2 = arc_to(2, 12);
-    const ArcId a3 = arc_to(3, 13);
-    EXPECT_EQ(journal, (std::vector<JournalEntry>{
-                           {Kind::kAddArc, a1}, {Kind::kAddArc, a0}, {Kind::kAddArc, a2},
-                           {Kind::kAddArc, a3}}));
-
-    // Reordered, every cost and capacity moved, and a duplicate of a held
-    // key (first wins: cost 23, not 98).
-    journal = ScriptedRound(&manager, &policy, {},
-                            {{3, 0, 2, 23}, {0, 0, 2, 20}, {3, 0, 3, 98}, {1, 0, 2, 21},
-                             {2, 0, 2, 22}});
-    EXPECT_EQ(journal, (std::vector<JournalEntry>{
-                           {Kind::kArcCost, a3}, {Kind::kArcCapacity, a3},
-                           {Kind::kArcCost, a0}, {Kind::kArcCapacity, a0},
-                           {Kind::kArcCost, a1}, {Kind::kArcCapacity, a1},
-                           {Kind::kArcCost, a2}, {Kind::kArcCapacity, a2}}));
-    EXPECT_EQ(net.Cost(a3), 23);
-
-    // Growing: new keys are added in desired order — a rank-1 arc to m5
-    // before m4's, then m5's rank 0 — after the reused arcs' updates.
-    journal = ScriptedRound(&manager, &policy, {},
-                            {{0, 0, 2, 30}, {5, 1, 1, 51}, {1, 0, 2, 21}, {4, 0, 1, 40},
-                             {2, 0, 2, 22}, {3, 0, 2, 23}, {5, 0, 1, 50}});
-    ASSERT_EQ(journal.size(), 4u);
-    const ArcId a5r1 = arc_to(5, 51);
-    const ArcId a4 = arc_to(4, 40);
-    const ArcId a5r0 = arc_to(5, 50);
-    EXPECT_EQ(journal, (std::vector<JournalEntry>{
-                           {Kind::kArcCost, a0}, {Kind::kAddArc, a5r1}, {Kind::kAddArc, a4},
-                           {Kind::kAddArc, a5r0}}));
-
-    // Shrinking: leftovers go in ascending (dst, rank) order — m1, m3, m4,
-    // then m5 rank 0 before rank 1 — not in insertion or desired order.
-    journal = ScriptedRound(&manager, &policy, {}, {{2, 0, 2, 32}, {0, 0, 2, 30}});
-    EXPECT_EQ(journal, (std::vector<JournalEntry>{
-                           {Kind::kArcCost, a2}, {Kind::kRemoveArc, a1},
-                           {Kind::kRemoveArc, a3}, {Kind::kRemoveArc, a4},
-                           {Kind::kRemoveArc, a5r0}, {Kind::kRemoveArc, a5r1}}));
-
-    // Regrowing draws ids from the free list that removal order left:
-    // last freed, first reused.
-    journal = ScriptedRound(&manager, &policy, {},
-                            {{0, 0, 2, 30}, {1, 0, 1, 61}, {2, 0, 2, 32}, {3, 0, 1, 63},
-                             {4, 0, 1, 64}});
-    EXPECT_EQ(journal, (std::vector<JournalEntry>{
-                           {Kind::kAddArc, a5r1}, {Kind::kAddArc, a5r0}, {Kind::kAddArc, a4}}));
-
-    // Removing m2, in the middle of the list, purges its entry; the next
-    // diff updates the survivors in place and removes nothing.
-    manager.RemoveMachine(2);
-    cluster.RemoveMachine(2);
-    std::vector<std::string> violations;
-    manager.CheckIntegrity(&violations);
-    EXPECT_TRUE(violations.empty());
-    journal = ScriptedRound(&manager, &policy, {},
-                            {{4, 0, 1, 74}, {0, 0, 2, 70}, {1, 0, 1, 71}, {3, 0, 1, 73}});
-    EXPECT_EQ(journal, (std::vector<JournalEntry>{
-                           {Kind::kArcCost, a4}, {Kind::kArcCost, a0},
-                           {Kind::kArcCost, a5r1}, {Kind::kArcCost, a5r0}}));
-
-    // One arc in, one held (the load-spreading shape): a key change adds the
-    // new arc before removing the old one.
-    journal = ScriptedRound(&manager, &policy, {}, {{0, 0, 2, 70}});
-    ASSERT_EQ(journal.size(), 3u);
-    journal = ScriptedRound(&manager, &policy, {}, {{0, 0, 3, 80}});
-    EXPECT_EQ(journal, (std::vector<JournalEntry>{{Kind::kArcCost, a0},
-                                                  {Kind::kArcCapacity, a0}}));
-    journal = ScriptedRound(&manager, &policy, {}, {{5, 0, 1, 85}});
-    const ArcId a5 = arc_to(5, 85);
-    EXPECT_EQ(journal, (std::vector<JournalEntry>{{Kind::kAddArc, a5},
-                                                  {Kind::kRemoveArc, a0}}));
+  ClusterState cluster;
+  ScriptedArcsPolicy policy;
+  FlowGraphManager manager(&cluster, &policy);
+  BuildCluster(&cluster, 1, 6, {.slots = 4});
+  for (const MachineDescriptor& machine : cluster.machines()) {
+    manager.AddMachine(machine.id);
   }
+  JobId job = cluster.SubmitJob(JobType::kBatch, 0, 0);
+  manager.AddTask(cluster.AddTaskToJob(job, {}), 0);
+  const NodeId task_node = manager.NodeForTask(cluster.job(job).tasks[0]);
+  const FlowNetwork& net = *manager.network();
+  auto arc_to = [&](MachineId machine, int64_t cost) {
+    for (ArcRef ref : net.Adjacency(task_node)) {
+      ArcId arc = FlowNetwork::RefArc(ref);
+      if (!FlowNetwork::RefIsReverse(ref) && net.Dst(arc) == manager.NodeForMachine(machine) &&
+          net.Cost(arc) == cost) {
+        return arc;
+      }
+    }
+    ADD_FAILURE() << "no arc to machine " << machine << " at cost " << cost;
+    return kInvalidArcId;
+  };
+
+  // Fresh task: a continuation arc to m1 collides with the class arc to
+  // m1 (the specific arc comes first and wins), and the class repeats m2.
+  std::vector<JournalEntry> journal = ScriptedRound(
+      &manager, &policy, {{1, 0, 1, 5}},
+      {{0, 0, 1, 10}, {1, 0, 1, 11}, {2, 0, 1, 12}, {2, 0, 1, 99}, {3, 0, 1, 13}});
+  ASSERT_EQ(journal.size(), 4u);
+  const ArcId a1 = arc_to(1, 5);
+  const ArcId a0 = arc_to(0, 10);
+  const ArcId a2 = arc_to(2, 12);
+  const ArcId a3 = arc_to(3, 13);
+  EXPECT_EQ(journal, (std::vector<JournalEntry>{
+                         {Kind::kAddArc, a1}, {Kind::kAddArc, a0}, {Kind::kAddArc, a2},
+                         {Kind::kAddArc, a3}}));
+
+  // Reordered, every cost and capacity moved, and a duplicate of a held
+  // key (first wins: cost 23, not 98).
+  journal = ScriptedRound(&manager, &policy, {},
+                          {{3, 0, 2, 23}, {0, 0, 2, 20}, {3, 0, 3, 98}, {1, 0, 2, 21},
+                           {2, 0, 2, 22}});
+  EXPECT_EQ(journal, (std::vector<JournalEntry>{
+                         {Kind::kArcCost, a3}, {Kind::kArcCapacity, a3},
+                         {Kind::kArcCost, a0}, {Kind::kArcCapacity, a0},
+                         {Kind::kArcCost, a1}, {Kind::kArcCapacity, a1},
+                         {Kind::kArcCost, a2}, {Kind::kArcCapacity, a2}}));
+  EXPECT_EQ(net.Cost(a3), 23);
+
+  // Growing: new keys are added in desired order — a rank-1 arc to m5
+  // before m4's, then m5's rank 0 — after the reused arcs' updates.
+  journal = ScriptedRound(&manager, &policy, {},
+                          {{0, 0, 2, 30}, {5, 1, 1, 51}, {1, 0, 2, 21}, {4, 0, 1, 40},
+                           {2, 0, 2, 22}, {3, 0, 2, 23}, {5, 0, 1, 50}});
+  ASSERT_EQ(journal.size(), 4u);
+  const ArcId a5r1 = arc_to(5, 51);
+  const ArcId a4 = arc_to(4, 40);
+  const ArcId a5r0 = arc_to(5, 50);
+  EXPECT_EQ(journal, (std::vector<JournalEntry>{
+                         {Kind::kArcCost, a0}, {Kind::kAddArc, a5r1}, {Kind::kAddArc, a4},
+                         {Kind::kAddArc, a5r0}}));
+
+  // Shrinking: leftovers go in ascending (dst, rank) order — m1, m3, m4,
+  // then m5 rank 0 before rank 1 — not in insertion or desired order.
+  journal = ScriptedRound(&manager, &policy, {}, {{2, 0, 2, 32}, {0, 0, 2, 30}});
+  EXPECT_EQ(journal, (std::vector<JournalEntry>{
+                         {Kind::kArcCost, a2}, {Kind::kRemoveArc, a1},
+                         {Kind::kRemoveArc, a3}, {Kind::kRemoveArc, a4},
+                         {Kind::kRemoveArc, a5r0}, {Kind::kRemoveArc, a5r1}}));
+
+  // Regrowing draws ids from the free list that removal order left:
+  // last freed, first reused.
+  journal = ScriptedRound(&manager, &policy, {},
+                          {{0, 0, 2, 30}, {1, 0, 1, 61}, {2, 0, 2, 32}, {3, 0, 1, 63},
+                           {4, 0, 1, 64}});
+  EXPECT_EQ(journal, (std::vector<JournalEntry>{
+                         {Kind::kAddArc, a5r1}, {Kind::kAddArc, a5r0}, {Kind::kAddArc, a4}}));
+
+  // Removing m2, in the middle of the list, purges its entry; the next
+  // diff updates the survivors in place and removes nothing.
+  manager.RemoveMachine(2);
+  cluster.RemoveMachine(2);
+  std::vector<std::string> violations;
+  manager.CheckIntegrity(&violations);
+  EXPECT_TRUE(violations.empty());
+  journal = ScriptedRound(&manager, &policy, {},
+                          {{4, 0, 1, 74}, {0, 0, 2, 70}, {1, 0, 1, 71}, {3, 0, 1, 73}});
+  EXPECT_EQ(journal, (std::vector<JournalEntry>{
+                         {Kind::kArcCost, a4}, {Kind::kArcCost, a0},
+                         {Kind::kArcCost, a5r1}, {Kind::kArcCost, a5r0}}));
+
+  // One arc in, one held (the load-spreading shape): a key change adds the
+  // new arc before removing the old one.
+  journal = ScriptedRound(&manager, &policy, {}, {{0, 0, 2, 70}});
+  ASSERT_EQ(journal.size(), 3u);
+  journal = ScriptedRound(&manager, &policy, {}, {{0, 0, 3, 80}});
+  EXPECT_EQ(journal, (std::vector<JournalEntry>{{Kind::kArcCost, a0},
+                                                {Kind::kArcCapacity, a0}}));
+  journal = ScriptedRound(&manager, &policy, {}, {{5, 0, 1, 85}});
+  const ArcId a5 = arc_to(5, 85);
+  EXPECT_EQ(journal, (std::vector<JournalEntry>{{Kind::kAddArc, a5},
+                                                {Kind::kRemoveArc, a0}}));
 }
 
 // ---------------------------------------------------------------------------
