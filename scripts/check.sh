@@ -8,8 +8,8 @@
 # committed copy is captured before the run and compared after. A tracked
 # series regresses when its fresh real_time exceeds the baseline by >20%
 # (and by >0.25 ms absolute) in BOTH of two runs — single runs jitter past
-# 20% on a loaded 1-CPU runner, so a flagged figure is re-run once and the
-# per-series minimum is what gates. Sub-0.2ms series are ignored entirely;
+# 20% on the shared 4-vCPU runner, so a flagged figure is re-run once and
+# the per-series minimum is what gates. Sub-0.2ms series are ignored entirely;
 # set FIRMAMENT_BENCH_TOLERANT=1 to report regressions without failing
 # (e.g. on noisy shared runners).
 set -euo pipefail
@@ -115,6 +115,21 @@ FAILED=0
 # Speedup gates below arm their thresholds by the runner's CPU count.
 cores="$(nproc)"
 
+# State of the box for the timing series: one calibration probe from the
+# perfbench binary the self-test built. A low parallel share (all-core ALU
+# rate over threads x one-core rate) or a high one-core memory latency
+# says the runner was contended. Printed next to every bench-diff verdict;
+# nothing gates on it.
+probe_json="$("${CARGO_TARGET_DIR:-.bench_build}/perfbench/perfbench" --probe | tail -n 1)" ||
+  probe_json=""
+BOX_STATE="$(python3 -c '
+import json, sys
+p = json.loads(sys.argv[1])
+print("parallel share %.2f, 1-core mem latency %.0f ns"
+      % (p["alu_all_gops"] / (p["threads"] * p["alu_1c_gops"]), p["mem_lat_1c_ns"]))
+' "$probe_json" 2>/dev/null)" || BOX_STATE="probe unavailable"
+echo "box: $BOX_STATE"
+
 # CHECK_SERIES_FILTER (regex, empty = all) narrows which series of a figure
 # are timing-gated; deterministic counter gates stay armed regardless.
 extract_series() {
@@ -158,11 +173,11 @@ check_regressions() {
     out="$(diff_series "$BASELINE_DIR/$label.base" "$BASELINE_DIR/$label.min")"
   fi
   if [ -n "$out" ]; then
-    echo "bench-diff: $label regressed vs committed baseline (confirmed over 2 runs):"
+    echo "bench-diff: $label regressed vs committed baseline (confirmed over 2 runs; box: $BOX_STATE):"
     echo "$out"
     FAILED=1
   else
-    echo "bench-diff: $label OK (tracked series within 20% of baseline)"
+    echo "bench-diff: $label OK (tracked series within 20% of baseline; box: $BOX_STATE)"
   fi
 }
 
@@ -304,7 +319,7 @@ fi
 # driver -> service). The wall time is dominated by deterministic trace
 # pacing, so the 20% regression gate is meaningful despite the end-to-end
 # shape. Timing-gate only the replay series: the parse-throughput series is
-# a ~10-20 ms single shot that jitters >30% run-to-run on this 1-CPU box;
+# a ~10-20 ms single shot that jitters >30% run-to-run on the shared runner;
 # its correctness is gated deterministically below (dropped == 0).
 cp BENCH_fig21_trace_replay.json "$BASELINE_DIR/fig21.json" 2>/dev/null || true
 ./build/bench_fig21_trace_replay

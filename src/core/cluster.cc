@@ -51,6 +51,7 @@ TaskId ClusterState::AddTaskToJob(JobId job_id, TaskDescriptor task) {
   task.id = id;
   task.job = job_id;
   it->second.tasks.push_back(id);
+  ++it->second.retained_tasks;
   tasks_.emplace(id, std::move(task));
   return id;
 }
@@ -142,6 +143,11 @@ bool ClusterState::ForgetTask(TaskId task_id) {
   auto it = tasks_.find(task_id);
   if (it == tasks_.end() || it->second.state != TaskState::kCompleted) {
     return false;
+  }
+  auto job_it = jobs_.find(it->second.job);
+  CHECK(job_it != jobs_.end());
+  if (--job_it->second.retained_tasks == 0) {
+    jobs_.erase(job_it);
   }
   tasks_.erase(it);
   dirty_tasks_.erase(task_id);

@@ -73,6 +73,9 @@ struct JobDescriptor {
   int32_t priority = 0;  // larger = more important
   SimTime submit_time = 0;
   std::vector<TaskId> tasks;
+  // Tasks whose descriptors are still held (not yet forgotten); the job
+  // itself is erased when its last task is forgotten.
+  size_t retained_tasks = 0;
 };
 
 // Mutable cluster + workload state. All scheduler components hold a pointer
@@ -113,6 +116,7 @@ class ClusterState {
   TaskDescriptor& mutable_task(TaskId id);
   bool HasTask(TaskId id) const { return tasks_.count(id) != 0; }
   size_t num_tasks() const { return tasks_.size(); }
+  size_t num_jobs() const { return jobs_.size(); }
 
   // --- Task lifecycle ----------------------------------------------------
   // Lifecycle transitions are *idempotent*: an op whose precondition does
@@ -130,7 +134,8 @@ class ClusterState {
   // unwind; the terminal state lets the standard staged-completion replay
   // (graph RemoveTask + ForgetTask) retire it unmodified.
   bool WithdrawTask(TaskId task, SimTime now);
-  // Erases a completed task's descriptor (jobs keep their id lists).
+  // Erases a completed task's descriptor, and its job once no task of the
+  // job is left (until then the job keeps its full id list).
   bool ForgetTask(TaskId task);
 
   // All tasks that currently exist and are not completed; the flow network

@@ -114,7 +114,6 @@ void FlowGraphManager::InvalidateClass(EquivClass ec) {
 void FlowGraphManager::EvictClass(ClassCache::iterator it) {
   ec_cached_arcs_ -= it->second.arcs.size();
   ec_cache_.erase(it);
-  ++update_stats_.classes_invalidated;
   MaybeCompactClassIndex();
 }
 
@@ -144,7 +143,6 @@ void FlowGraphManager::InvalidateClassesReferencing(NodeId dst) {
 }
 
 void FlowGraphManager::ClearClassCache() {
-  update_stats_.classes_invalidated += ec_cache_.size();
   ec_cache_.clear();
   ec_dst_index_.clear();
   ec_index_entries_ = 0;
@@ -728,7 +726,6 @@ void FlowGraphManager::RefreshTask(TaskId task_id, SimTime now) {
   }
   scratch_specs_.insert(scratch_specs_.end(), cache_it->second.arcs.begin(),
                         cache_it->second.arcs.end());
-  update_stats_.task_arcs_applied += scratch_specs_.size();
   DiffArcs(info.node, scratch_specs_, &info.arcs);
 
   network_.SetArcCost(info.unscheduled_arc, RampCost(info.ramp, task, now));

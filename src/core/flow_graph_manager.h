@@ -61,13 +61,12 @@ struct FlowGraphManagerOptions {
 enum class RefreshMode : uint8_t { kDelta, kFull };
 
 // Counters for the last UpdateRound call; consumed by tests (the Quincy
-// machine-removal dirty-count assertion) and the fig11 bursty-submit bench.
+// machine-removal dirty-count assertion), the fig11 bursty-submit and fig21
+// benches, and perfbench's graph-layer metrics.
 struct UpdateRoundStats {
   size_t tasks_refreshed = 0;       // RefreshTask calls this round
   size_t class_cache_hits = 0;      // class arcs served from the cache
   size_t class_cache_misses = 0;    // EquivClassArcs policy calls
-  size_t classes_invalidated = 0;   // entries dropped (marks + node removals)
-  size_t task_arcs_applied = 0;     // ArcSpecs handed to DiffArcs for tasks
 };
 
 class FlowGraphManager {

@@ -16,8 +16,7 @@ FirmamentScheduler::FirmamentScheduler(ClusterState* cluster, SchedulingPolicy* 
       solver_(options.solver),
       integrity_checker_(cluster, &graph_manager_),
       check_integrity_(options.check_integrity),
-      enable_templates_(options.enable_templates),
-      template_cache_(options.template_capacity) {
+      enable_templates_(options.enable_templates) {
   if (enable_templates_) {
     // Semantic class invalidations (MarkEquivClass, node-removal purges) and
     // wholesale class-cache clears cascade into the template layer: a
@@ -89,7 +88,7 @@ void FirmamentScheduler::RemoveMachine(MachineId machine, SimTime now,
 JobId FirmamentScheduler::SubmitJob(JobType type, int32_t priority,
                                     std::vector<TaskDescriptor> tasks, SimTime now,
                                     TemplateInstallResult* install) {
-  WallTimer submit_timer;
+  WallTimer install_timer;
   if (install != nullptr) {
     *install = {};
   }
@@ -102,12 +101,8 @@ JobId FirmamentScheduler::SubmitJob(JobType type, int32_t priority,
     ids.push_back(cluster_->AddTaskToJob(job, std::move(task)));
   }
   if (enable_templates_ && !ids.empty() && TryTemplateInstall(job, ids, now, install)) {
-    uint64_t install_us = submit_timer.ElapsedMicros();
-    if (install != nullptr) {
-      install->install_wall_us = install_us;
-    }
     // Per-job wall time of the bypass — the fig14 "templated" series.
-    template_install_latency_.Add(static_cast<double>(install_us) / 1e6);
+    template_install_latency_.Add(static_cast<double>(install_timer.ElapsedMicros()) / 1e6);
     return job;
   }
   // Normal flow path: tasks enter the graph (staged when a round is in
@@ -127,9 +122,6 @@ JobId FirmamentScheduler::SubmitJob(JobType type, int32_t priority,
   }
   if (!staged.tasks.empty()) {
     event_stage_.Stage(std::move(staged));
-  }
-  if (install != nullptr) {
-    install->install_wall_us = submit_timer.ElapsedMicros();
   }
   return job;
 }
@@ -228,7 +220,6 @@ bool FirmamentScheduler::TryTemplateInstall(JobId job, const std::vector<TaskId>
       ++event_counters_.ignored_task_submissions;
     }
     CHECK(cluster_->PlaceTask(id, cached->machines[i], now));
-    placement_latency_.Add(0.0);
     SchedulingDelta delta;
     delta.kind = SchedulingDelta::Kind::kPlace;
     delta.task = id;
@@ -246,14 +237,14 @@ bool FirmamentScheduler::TryTemplateInstall(JobId job, const std::vector<TaskId>
   return true;
 }
 
-void FirmamentScheduler::CompleteTask(TaskId task, SimTime now) {
+bool FirmamentScheduler::CompleteTask(TaskId task, SimTime now) {
   // Stale completion (unknown task, a task evicted back to waiting before
   // the completion arrived, or a duplicate delivery): ignore per the
   // idempotency contract. Skipping all three steps keeps cluster and graph
   // in lockstep — a waiting task keeps its graph node and stays schedulable.
   if (!cluster_->HasTask(task) || cluster_->task(task).state != TaskState::kRunning) {
     ++event_counters_.ignored_task_completions;
-    return;
+    return false;
   }
   cluster_->CompleteTask(task, now);
   if (round_in_flight_) {
@@ -264,10 +255,11 @@ void FirmamentScheduler::CompleteTask(TaskId task, SimTime now) {
     event.kind = StagedEvent::Kind::kTaskCompleted;
     event.task = task;
     event_stage_.Stage(std::move(event));
-    return;
+    return true;
   }
   graph_manager_.RemoveTask(task);
   cluster_->ForgetTask(task);
+  return true;
 }
 
 bool FirmamentScheduler::WithdrawTask(TaskId task, SimTime now) {
@@ -365,7 +357,6 @@ void FirmamentScheduler::PrepareRound(SimTime now) {
 SolveStats FirmamentScheduler::StartRound(SimTime now) {
   PrepareRound(now);
   pending_solve_ = solver_.Solve(graph_manager_.network());
-  algorithm_runtime_.Add(static_cast<double>(pending_solve_.runtime_us) / 1e6);
   round_in_flight_ = true;
   return pending_solve_;
 }
@@ -389,7 +380,6 @@ SolveStats FirmamentScheduler::WaitRound() {
   if (solve_in_flight_) {
     pending_solve_ = solver_.WaitSolve();
     solve_in_flight_ = false;
-    algorithm_runtime_.Add(static_cast<double>(pending_solve_.runtime_us) / 1e6);
   }
   return pending_solve_;
 }
@@ -406,17 +396,6 @@ SchedulerRoundResult FirmamentScheduler::ApplyRound(SimTime now) {
   result.graph_update_us = pending_graph_update_us_;
   result.recovery_actions = std::move(pending_recovery_);
   pending_recovery_.clear();
-  // Template traffic since the previous ApplyRound is attributed to this
-  // round (bypass hits never enter a round on their own, so the round
-  // result is where they become visible to drivers).
-  {
-    const PlacementTemplateStats& t = template_cache_.stats();
-    result.solver_stats.template_hits = t.hits - template_window_.hits;
-    result.solver_stats.template_misses = t.misses - template_window_.misses;
-    result.solver_stats.template_validation_failures =
-        t.validation_failures - template_window_.validation_failures;
-    template_window_ = t;
-  }
 
   const bool have_placements = pending_solve_.outcome == SolveOutcome::kOptimal ||
                                pending_solve_.outcome == SolveOutcome::kApproximate;
@@ -501,7 +480,6 @@ SchedulerRoundResult FirmamentScheduler::ApplyRound(SimTime now) {
       delta.task = task_id;
       delta.to = machine;
       cluster_->PlaceTask(task_id, machine, now);
-      placement_latency_.Add(static_cast<double>(now - task.submit_time) / 1e6);
       result.deltas.push_back(delta);
       ++result.tasks_placed;
     } else if (task.state == TaskState::kRunning && task.machine != machine) {
@@ -585,12 +563,6 @@ void FirmamentScheduler::RecordPendingTemplates() {
     }
     it = pending_templates_.erase(it);
   }
-}
-
-void FirmamentScheduler::ClearMetrics() {
-  placement_latency_.Clear();
-  algorithm_runtime_.Clear();
-  template_install_latency_.Clear();
 }
 
 }  // namespace firmament

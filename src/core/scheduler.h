@@ -97,7 +97,6 @@ struct FirmamentSchedulerOptions {
   // Off by default; policies whose TemplateFingerprint returns 0 stay on
   // the solver path even when enabled.
   bool enable_templates = false;
-  size_t template_capacity = 4096;
 };
 
 // Outcome of the template fast path for one SubmitJob call (all false when
@@ -109,7 +108,6 @@ struct TemplateInstallResult {
   bool hit = false;                // key matched a cached placement
   bool validation_failed = false;  // hit, but capacities rejected it
   bool installed = false;          // placements applied, solver bypassed
-  uint64_t install_wall_us = 0;    // wall time of the whole fast path
   std::vector<SchedulingDelta> deltas;
 };
 
@@ -154,8 +152,9 @@ class FirmamentScheduler {
   // `install` (optional) reports what the fast path did.
   JobId SubmitJob(JobType type, int32_t priority, std::vector<TaskDescriptor> tasks,
                   SimTime now, TemplateInstallResult* install = nullptr);
-  // Marks a running task completed and removes it from the graph.
-  void CompleteTask(TaskId task, SimTime now);
+  // Marks a running task completed and removes it from the graph. Returns
+  // false for a stale completion (ignored and counted, see above).
+  bool CompleteTask(TaskId task, SimTime now);
 
   // Retires a *waiting* task without running it — the federation
   // coordinator's spill/rebalance path, which resubmits the job in a
@@ -197,21 +196,18 @@ class FirmamentScheduler {
   ClusterState& cluster() { return *cluster_; }
   FlowGraphManager& graph_manager() { return graph_manager_; }
   RacingSolver& solver() { return solver_; }
-  // Placement latency samples in seconds (submission -> placement, Fig. 14).
-  const Distribution& placement_latency() const { return placement_latency_; }
-  // Solver algorithm runtime samples in seconds (Fig. 3 / Fig. 7 metric).
-  const Distribution& algorithm_runtime() const { return algorithm_runtime_; }
   // Stale-event counters (see the idempotency contract above).
   const SchedulerEventCounters& event_counters() const { return event_counters_; }
-  // Placement-template introspection. Stats are cumulative (per-round
-  // windows land in SchedulerRoundResult::solver_stats); the install
-  // latency distribution samples the fast path's wall time per task in
-  // seconds — the fig14 "templated" series.
+  // Placement-template introspection. Stats are cumulative; the install
+  // latency distribution samples the fast path's wall time per installed
+  // job in seconds — the fig14 "templated" series. Per-task placement
+  // latency and solver runtime are not kept here: round results and
+  // install deltas carry what a driver needs to sample them (the simulator
+  // does).
   bool templates_enabled() const { return enable_templates_; }
   const PlacementTemplateStats& template_stats() const { return template_cache_.stats(); }
   size_t template_cache_size() const { return template_cache_.size(); }
   const Distribution& template_install_latency() const { return template_install_latency_; }
-  void ClearMetrics();
 
  private:
   // A solved-but-not-yet-recorded template candidate: the job missed (or
@@ -248,9 +244,6 @@ class FirmamentScheduler {
   bool check_integrity_ = false;
   bool enable_templates_ = false;
   PlacementTemplateCache template_cache_;
-  // Snapshot of the cache counters at the last ApplyRound; the delta since
-  // then is the round's template window (folded into solver_stats).
-  PlacementTemplateStats template_window_;
   std::unordered_map<JobId, PendingTemplate> pending_templates_;
   // Machines whose slots a template install consumed while a round was in
   // flight: the in-flight solve still believes those slots are free, so
@@ -260,8 +253,6 @@ class FirmamentScheduler {
   // before the preempt that frees its slot, and must not be dropped).
   std::set<MachineId> midround_install_machines_;
   Distribution template_install_latency_;
-  Distribution placement_latency_;
-  Distribution algorithm_runtime_;
   SchedulerEventCounters event_counters_;
   SolveStats pending_solve_;
   uint64_t pending_graph_update_us_ = 0;

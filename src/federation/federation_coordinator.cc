@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/base/timer.h"
 #include "src/core/flow_graph_manager.h"
 #include "src/flow/graph.h"
 #include "src/solvers/successive_shortest_path.h"
@@ -12,6 +11,15 @@
 namespace firmament {
 
 namespace {
+
+// Spill cap per job, so a cluster-wide capacity crunch cannot bounce a job
+// between cells forever.
+constexpr size_t kMaxSpillsPerJob = 3;
+// Rebalance flow arc costs: moving one task between cells vs leaving it
+// queued where it is. move < stay makes the solver move work wherever spare
+// capacity exists.
+constexpr int64_t kRebalanceMoveCost = 1;
+constexpr int64_t kRebalanceStayCost = 8;
 
 // Worst-severity merge: a degraded cell degrades the round (the service
 // schedules a follow-up), approximate taints optimal, and infeasible only
@@ -144,22 +152,19 @@ JobId FederationCoordinator::SubmitJob(JobType type, int32_t priority,
   return global_job;
 }
 
-void FederationCoordinator::CompleteTask(TaskId task, SimTime now) {
+bool FederationCoordinator::CompleteTask(TaskId task, SimTime now) {
   auto it = task_routes_.find(task);
   if (it == task_routes_.end()) {
     ++local_ignored_.ignored_task_completions;
-    return;
+    return false;
   }
   CellScheduler& cell = *cells_[it->second.cell];
   const TaskId local = it->second.local;
-  const bool fresh =
-      cell.cluster().HasTask(local) && cell.cluster().task(local).state == TaskState::kRunning;
   // Conservatively dirty even on a stale delivery: the cell's counter bump
   // is cheap to revisit, and the fresh path definitely changed the graph.
   cell_dirty_[it->second.cell] = 1;
-  cell.scheduler().CompleteTask(local, now);
-  if (!fresh) {
-    return;  // the cell counted the stale delivery; routes stay for retries
+  if (!cell.scheduler().CompleteTask(local, now)) {
+    return false;  // the cell counted the stale delivery; routes stay for retries
   }
   auto job_it = job_routes_.find(it->second.job);
   CHECK(job_it != job_routes_.end());
@@ -168,6 +173,7 @@ void FederationCoordinator::CompleteTask(TaskId task, SimTime now) {
   }
   cell.UnmapTask(local);
   task_routes_.erase(it);
+  return true;
 }
 
 // --- routing ---------------------------------------------------------------
@@ -384,7 +390,7 @@ void FederationCoordinator::RebalancePass(SimTime now, FederationRoundResult* re
     return;
   }
   // Small flow problem over cell aggregates: donors supply their surplus,
-  // receivers absorb up to their spare, moving costs rebalance_move_cost
+  // receivers absorb up to their spare, moving costs kRebalanceMoveCost
   // per task; the escape arc (stay queued at home) costs more, so flow
   // moves exactly where spare capacity exists and nowhere else.
   FlowNetwork net;
@@ -401,11 +407,11 @@ void FederationCoordinator::RebalancePass(SimTime now, FederationRoundResult* re
   for (size_t i = 0; i < n; ++i) {
     if (surplus[i] == 0) continue;
     NodeId donor = net.AddNode(surplus[i], NodeKind::kAggregator);
-    net.AddArc(donor, sink, surplus[i], options_.rebalance_stay_cost);
+    net.AddArc(donor, sink, surplus[i], kRebalanceStayCost);
     for (size_t j = 0; j < n; ++j) {
       if (j == i || receiver[j] == kInvalidNodeId) continue;
       ArcId arc = net.AddArc(donor, receiver[j], std::min(surplus[i], spare[j]),
-                             options_.rebalance_move_cost);
+                             kRebalanceMoveCost);
       move_arcs.push_back({arc, {static_cast<uint32_t>(i), static_cast<uint32_t>(j)}});
     }
   }
@@ -569,7 +575,7 @@ void FederationCoordinator::UpdateWaitAccounting(const std::vector<uint8_t>& ran
     }
     ++route.wait_rounds;
     if (!route.pending_spill && route.wait_rounds >= options_.spill_after_rounds &&
-        route.spill_count < options_.max_spills_per_job &&
+        route.spill_count < kMaxSpillsPerJob &&
         PickSpillTarget(route.cell, route.live) != route.cell) {
       // Queue only when a viable sibling exists *now*; execution next round
       // re-validates both the headroom and the still-waiting claim. This
@@ -581,7 +587,6 @@ void FederationCoordinator::UpdateWaitAccounting(const std::vector<uint8_t>& ran
 }
 
 FederationRoundResult FederationCoordinator::RunRound(SimTime now) {
-  WallTimer timer;
   FederationRoundResult result;
   result.cell_outcomes.assign(cells_.size(), SolveOutcome::kOptimal);
   ++round_seq_;
@@ -654,7 +659,6 @@ FederationRoundResult FederationCoordinator::RunRound(SimTime now) {
   result.needs_followup = result.spills > 0 || result.rebalance_moves > 0 ||
                           result.merged.tasks_preempted > 0 || any_degraded ||
                           !pending_spills_.empty();
-  result.round_wall_us = timer.ElapsedMicros();
   return result;
 }
 

@@ -73,16 +73,8 @@ struct FederationOptions {
   // becomes a spill candidate (its unscheduled-cost ramp has had that many
   // chances to win locally and lost).
   size_t spill_after_rounds = 2;
-  // Spill cap per job, so a cluster-wide capacity crunch cannot bounce a
-  // job between cells forever.
-  size_t max_spills_per_job = 3;
   // Cross-cell rebalance cadence in coordinator rounds (0 disables).
   size_t rebalance_every_rounds = 16;
-  // Rebalance flow arc costs: moving one task between cells vs leaving it
-  // queued where it is. move < stay makes the solver move work wherever
-  // spare capacity exists; raising move makes rebalance stickier.
-  int64_t rebalance_move_cost = 1;
-  int64_t rebalance_stay_cost = 8;
   // Global per-round solve budget split across solving cells proportional
   // to live graph size (0 = no budget; cells keep their own settings).
   uint64_t solve_budget_us = 0;
@@ -119,7 +111,6 @@ struct FederationRoundResult {
   // rebalance moved jobs, preemptions to re-place, or a degraded cell) —
   // the service loop schedules a follow-up round.
   bool needs_followup = false;
-  uint64_t round_wall_us = 0;
 };
 
 class FederationCoordinator {
@@ -144,7 +135,9 @@ class FederationCoordinator {
   JobId SubmitJob(JobType type, int32_t priority, std::vector<TaskDescriptor> tasks,
                   SimTime now, TemplateInstallResult* install = nullptr,
                   std::vector<TaskId>* global_task_ids = nullptr);
-  void CompleteTask(TaskId task, SimTime now);
+  // Returns false for a stale or unroutable completion (ignored and counted,
+  // as FirmamentScheduler::CompleteTask does).
+  bool CompleteTask(TaskId task, SimTime now);
 
   // One federated round: execute queued spills, maybe rebalance, split the
   // solve budget, run every non-idle cell's scheduling round (concurrently

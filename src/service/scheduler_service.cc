@@ -191,16 +191,8 @@ bool SchedulerService::ApplyEvent(ServiceEvent& event) {
       break;
     }
     case ServiceEvent::Kind::kCompleteTask: {
-      bool fresh;
-      if (federation_ != nullptr) {
-        fresh = federation_->IsTaskRunning(event.task);
-        federation_->CompleteTask(event.task, now);
-      } else {
-        const ClusterState& cluster = scheduler_->cluster();
-        fresh = cluster.HasTask(event.task) &&
-                cluster.task(event.task).state == TaskState::kRunning;
-        scheduler_->CompleteTask(event.task, now);
-      }
+      const bool fresh = federation_ != nullptr ? federation_->CompleteTask(event.task, now)
+                                                : scheduler_->CompleteTask(event.task, now);
       (fresh ? counts_.completions_applied : counts_.completions_ignored)
           .fetch_add(1, std::memory_order_relaxed);
       break;

@@ -49,19 +49,23 @@ void ClusterSimulator::HandleJobArrival(size_t job_index) {
   tracking.type = spec.type;
   job_tracking_.emplace(job, tracking);
   if (install.installed) {
-    // Template hit: the job is already placed — consume the install deltas
-    // the way HandleApplyRound consumes a round's, so the tasks run to
-    // completion. No round work is created for this job.
-    for (const SchedulingDelta& delta : install.deltas) {
-      CHECK(delta.kind == SchedulingDelta::Kind::kPlace);
-      uint64_t epoch = ++placement_epoch_[delta.task];
-      Push(now + cluster_->task(delta.task).runtime, EventKind::kTaskCompletion, delta.task,
-           epoch);
-      ++metrics_.tasks_placed;
-    }
+    // Template hit: the job is already placed. No round work is created
+    // for this job.
+    StartInstalledTasks(install);
     return;
   }
   pending_work_ = true;
+}
+
+void ClusterSimulator::StartInstalledTasks(const TemplateInstallResult& install) {
+  const SimTime now = clock_.Now();
+  for (const SchedulingDelta& delta : install.deltas) {
+    CHECK(delta.kind == SchedulingDelta::Kind::kPlace);
+    uint64_t epoch = ++placement_epoch_[delta.task];
+    Push(now + cluster_->task(delta.task).runtime, EventKind::kTaskCompletion, delta.task, epoch);
+    metrics_.placement_latency_seconds.Add(0.0);
+    ++metrics_.tasks_placed;
+  }
 }
 
 void ClusterSimulator::HandleCompletion(TaskId task, uint64_t epoch) {
@@ -92,6 +96,10 @@ void ClusterSimulator::HandleApplyRound() {
   const SimTime now = clock_.Now();
   SchedulerRoundResult result = scheduler_->ApplyRound(now);
   for (const SchedulingDelta& delta : result.deltas) {
+    if (delta.kind == SchedulingDelta::Kind::kPlace) {
+      const double waited = static_cast<double>(now - cluster_->task(delta.task).submit_time);
+      metrics_.placement_latency_seconds.Add(waited / 1e6);
+    }
     switch (delta.kind) {
       case SchedulingDelta::Kind::kPlace:
       case SchedulingDelta::Kind::kMigrate: {
@@ -117,9 +125,7 @@ void ClusterSimulator::HandleApplyRound() {
   RoundLogEntry entry;
   entry.start = round_start_time_;
   entry.solve_seconds = static_cast<double>(result.algorithm_runtime_us) / 1e6;
-  entry.winner = result.solver_stats.algorithm;
   entry.placed = result.tasks_placed;
-  entry.preempted = result.tasks_preempted;
   metrics_.round_log.push_back(entry);
   ++metrics_.rounds;
 
@@ -148,6 +154,7 @@ void ClusterSimulator::MaybeStartRound() {
   last_round_start_ = now;
   round_start_time_ = now;
   SolveStats stats = scheduler_->StartRound(now);
+  metrics_.algorithm_runtime_seconds.Add(static_cast<double>(stats.runtime_us) / 1e6);
   SimTime charged = std::max<SimTime>(
       1, static_cast<SimTime>(static_cast<double>(stats.runtime_us) * params_.solver_charge_scale));
   solver_busy_ = true;
@@ -196,7 +203,6 @@ void ClusterSimulator::HandleFault(size_t index) {
     if (fault_injector_->RollStorm()) {
       // Rack-correlated storm: the victim drags a slice of its rack down
       // with it (id order keeps the victim set deterministic).
-      ++metrics_.failure_storms;
       std::vector<MachineId> rack_victims;
       for (MachineId peer : cluster_->MachinesInRack(cluster_->RackOf(victim))) {
         if (peer != victim && cluster_->machine(peer).alive) {
@@ -260,7 +266,9 @@ void ClusterSimulator::HandleFaultResubmit(size_t index) {
   }
   std::vector<TaskDescriptor> tasks;
   tasks.push_back(std::move(task));
-  JobId job = scheduler_->SubmitJob(JobType::kBatch, 0, std::move(tasks), now);
+  TemplateInstallResult install;
+  JobId job = scheduler_->SubmitJob(JobType::kBatch, 0, std::move(tasks), now, &install);
+  StartInstalledTasks(install);
   JobTracking tracking;
   tracking.submit = now;
   tracking.remaining = 1;
@@ -312,12 +320,6 @@ SimulationMetrics ClusterSimulator::Run() {
         break;
     }
   }
-  metrics_.placement_latency_seconds = scheduler_->placement_latency();
-  metrics_.algorithm_runtime_seconds = scheduler_->algorithm_runtime();
-  const PlacementTemplateStats& tstats = scheduler_->template_stats();
-  metrics_.template_hits = tstats.hits;
-  metrics_.template_misses = tstats.misses;
-  metrics_.template_validation_failures = tstats.validation_failures;
   return metrics_;
 }
 

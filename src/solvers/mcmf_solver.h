@@ -91,11 +91,6 @@ struct SolveStats {
   // this round, and what that preparation (patch/rebuild + flow sync) cost.
   FlowNetworkView::PrepareResult view_prep = FlowNetworkView::PrepareResult::kBuilt;
   uint64_t view_prep_us = 0;
-  // Racing mode only: microseconds between handing the cost-scaling leg to
-  // the racing solver's persistent worker and the worker picking it up.
-  // With the former per-round std::thread this slot held a full thread
-  // spawn; with the pooled worker it is a condition-variable wakeup.
-  uint64_t dispatch_us = 0;
   // Whether the view holds a meaningful flow for this outcome (set by the
   // solver; consumed by Solve()'s writeback and the racing solver).
   bool flow_valid = false;
@@ -106,13 +101,6 @@ struct SolveStats {
   bool deadline_exceeded = false;
   int64_t budget_slack_us = 0;
   std::string algorithm;
-  // Placement-template traffic attributed to the round (installs bypass the
-  // solver entirely, so the scheduler folds the window's counters into the
-  // round result here; see FirmamentScheduler::template_stats for
-  // cumulative totals).
-  uint64_t template_hits = 0;
-  uint64_t template_misses = 0;
-  uint64_t template_validation_failures = 0;
 
   bool optimal() const { return outcome == SolveOutcome::kOptimal; }
 };

@@ -16,7 +16,6 @@ namespace {
 RelaxationOptions MakeRelaxationOptions(const RacingSolverOptions& options) {
   RelaxationOptions relax;
   relax.arc_prioritization = options.arc_prioritization;
-  relax.incremental = false;  // relaxation runs from scratch each round (§6.2)
   return relax;
 }
 
@@ -121,7 +120,6 @@ SolveStats RacingSolver::Solve(FlowNetwork* network) {
     result.deadline_exceeded = result.deadline_exceeded || deadline->Expired();
     result.budget_slack_us = deadline->SlackUs();
   }
-  last_round_.winner = result;
   last_round_.winner_algorithm = result.algorithm;
   network->ClearChanges();
   return result;
@@ -140,17 +138,13 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
   // The cost-scaling leg runs on a persistent worker instead of a freshly
   // spawned std::thread: thread creation costs tens of microseconds of
   // kernel work on the round's critical path (comparable to a whole warm
-  // solve on small clusters), a pooled wakeup costs a futex. dispatch_us
-  // records the handoff latency actually paid this round.
+  // solve on small clusters), a pooled wakeup costs a futex.
   if (worker_ == nullptr) {
     worker_ = std::make_unique<ThreadPool>(1);
     worker_spawns_ += worker_->num_threads();
   }
-  WallTimer dispatch_timer;
-  std::atomic<uint64_t> dispatch_us{0};
   SolveStats cs_stats;
   ThreadPool::Ticket cs_ticket = worker_->Submit([&] {
-    dispatch_us.store(dispatch_timer.ElapsedMicros(), std::memory_order_relaxed);
     cs_stats = cost_scaling_.SolveView(*network, &cancel_cs);
     if (cs_stats.outcome != SolveOutcome::kCancelled) {
       int expected = -1;
@@ -172,7 +166,6 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
   WallTimer loser_wait_timer;
   cs_ticket.Wait();
   last_round_.loser_wait_us = loser_wait_timer.ElapsedMicros();
-  cs_stats.dispatch_us = dispatch_us.load(std::memory_order_relaxed);
 
   last_round_.relaxation = relax_stats;
   last_round_.cost_scaling = cs_stats;
@@ -181,9 +174,6 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
   CHECK_NE(winner_idx, -1);
   const bool relaxation_won = winner_idx == 0;
   SolveStats result = relaxation_won ? relax_stats : cs_stats;
-  // The round's handoff latency is a property of the race, not of which
-  // algorithm won; surface it on the returned stats either way.
-  result.dispatch_us = cs_stats.dispatch_us;
   if (result.outcome != SolveOutcome::kOptimal) {
     result.flow_valid = false;  // infeasible; no flow is installed
     return result;
@@ -191,31 +181,26 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
   (relaxation_won ? relaxation_.view() : cost_scaling_.view()).WriteBackFlow(network);
 
   if (relaxation_won) {
-    // Hand the solution to incremental cost scaling for the next round. With
-    // price refine (§6.2) we recompute reduced potentials from the flow;
-    // without it (Fig. 13 ablation) cost scaling inherits relaxation's raw,
-    // typically much larger, potentials. Refine runs on relaxation's own
-    // view: after the writeback it holds exactly the network's structure
-    // and flow, and shortest-path distances depend neither on adjacency
-    // order nor on tombstoned arcs (zero residual), so the potentials equal
-    // PriceRefine(*network)'s without building a third view this round.
-    // Only the next round reads them, so the refine runs on the race's
-    // worker while the caller applies this round; the next Solve() joins it.
-    if (options_.price_refine_on_handoff) {
-      refine_pending_ = true;
-      refine_ticket_ = worker_->Submit([this] {
-        WallTimer refine_timer;
-        const FlowNetworkView& view = relaxation_.view();
-        std::vector<int64_t> dense;
-        CHECK(ComputeOptimalPotentials(view, &dense));
-        std::vector<int64_t> refined;
-        view.ScatterPotentials(dense, &refined);
-        cost_scaling_.ImportPotentials(std::move(refined));
-        refine_us_ = refine_timer.ElapsedMicros();
-      });
-    } else {
-      cost_scaling_.ImportPotentials(relaxation_.potentials());
-    }
+    // Hand the solution to incremental cost scaling for the next round:
+    // price refine (§6.2) recomputes reduced potentials from the flow.
+    // Refine runs on relaxation's own view: after the writeback it holds
+    // exactly the network's structure and flow, and shortest-path distances
+    // depend neither on adjacency order nor on tombstoned arcs (zero
+    // residual), so the potentials equal PriceRefine(*network)'s without
+    // building a third view this round. Only the next round reads them, so
+    // the refine runs on the race's worker while the caller applies this
+    // round; the next Solve() joins it.
+    refine_pending_ = true;
+    refine_ticket_ = worker_->Submit([this] {
+      WallTimer refine_timer;
+      const FlowNetworkView& view = relaxation_.view();
+      std::vector<int64_t> dense;
+      CHECK(ComputeOptimalPotentials(view, &dense));
+      std::vector<int64_t> refined;
+      view.ScatterPotentials(dense, &refined);
+      cost_scaling_.ImportPotentials(std::move(refined));
+      refine_us_ = refine_timer.ElapsedMicros();
+    });
   }
   return result;
 }

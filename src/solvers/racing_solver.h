@@ -51,9 +51,6 @@ struct RacingSolverOptions {
   SolverMode mode = SolverMode::kRace;
   int64_t cost_scaling_alpha = 2;
   bool arc_prioritization = true;
-  // §6.2 price refine at the relaxation -> cost scaling handoff (Fig. 13
-  // ablates this).
-  bool price_refine_on_handoff = true;
   // Per-round solve-time budget (0 = unlimited). When set, every leg polls
   // a shared SolveDeadline at its cancellation sites; once it expires the
   // round returns SolveOutcome::kDegraded — no flow is installed, the
@@ -65,7 +62,6 @@ struct RacingSolverOptions {
 };
 
 struct RoundStats {
-  SolveStats winner;
   std::string winner_algorithm;
   // Per-algorithm stats for the round; losers report kCancelled.
   SolveStats relaxation;

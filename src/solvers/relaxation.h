@@ -14,11 +14,11 @@
 // first (hybrid depth-first-towards-demand traversal), reducing runtime by
 // ~45% on contended graphs (Fig. 12a).
 //
-// Each Solve() runs on a FlowNetworkView (dense CSR snapshot) and installs
-// the resulting flow back into the FlowNetwork. Retained potentials are
-// keyed by original NodeId so incremental warm starts survive renumbering.
-// Setup folds complementary-slackness clamping and excess accumulation
-// into a single O(m) pass (previously ClearFlow + clamp + ComputeExcess).
+// Each Solve() runs from scratch (§5.2: warm-starting relaxation often
+// regresses) on a FlowNetworkView (dense CSR snapshot) and installs the
+// resulting flow back into the FlowNetwork. The final potentials are kept,
+// keyed by original NodeId. Setup folds complementary-slackness clamping
+// and excess accumulation into a single O(m) pass.
 //
 // NOTE on the packed residual star: porting these scan loops onto the 32B
 // ResidualEntry star (the layout cost scaling's refine loops run on) was
@@ -49,9 +49,6 @@ namespace firmament {
 struct RelaxationOptions {
   // §5.3.1 arc prioritization (Fig. 12a ablates this).
   bool arc_prioritization = true;
-  // Warm-start from the network's current flow and retained potentials
-  // (§5.2; the paper found this often regresses — exposed for the ablation).
-  bool incremental = false;
   // If non-zero, stop after the budget with the current (typically
   // infeasible) pseudoflow; unrouted supplies correspond to unplaced tasks
   // (§5.1 approximate-solution experiment).
@@ -64,15 +61,13 @@ class Relaxation : public McmfSolver {
 
   SolveStats SolveView(const FlowNetwork& network,
                        const std::atomic<bool>* cancel = nullptr) override;
-  std::string name() const override {
-    return options_.incremental ? "incremental_relaxation" : "relaxation";
-  }
+  std::string name() const override { return "relaxation"; }
 
   RelaxationOptions& options() { return options_; }
 
-  // Potentials of the last solve (unscaled, keyed by original NodeId);
-  // consumed by price refine and exported to incremental cost scaling at
-  // handoff (§6.2).
+  // Potentials of the last solve (unscaled, keyed by original NodeId): the
+  // raw handoff to incremental cost scaling that Fig. 13 compares against
+  // price refine (§6.2).
   const std::vector<int64_t>& potentials() const { return potential_; }
 
   void ResetState();
@@ -96,7 +91,7 @@ class Relaxation : public McmfSolver {
   void Augment(FlowNetworkView* view, uint32_t root, uint32_t deficit_node, SolveStats* stats);
 
   RelaxationOptions options_;
-  // Retained potentials keyed by original NodeId (survive renumbering).
+  // The last solve's potentials keyed by original NodeId.
   std::vector<int64_t> potential_;
 
   // Per-solve dense scratch state.

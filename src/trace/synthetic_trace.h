@@ -36,12 +36,6 @@
 
 namespace firmament {
 
-// Resource-request encoding shared with the replay driver: the trace
-// normalizes requests to [0, 1] of a full machine, so the emitter divides by
-// these full-machine scales and the driver multiplies back.
-constexpr double kTraceFullMachineBandwidthMbps = 10'000.0;  // 10 Gbps NIC
-constexpr double kTraceFullMachineInputBytes = 16e9;
-
 struct SyntheticTraceParams {
   TraceGeneratorParams workload;
   FaultInjectorParams faults;

@@ -50,6 +50,13 @@ enum MachineEventCode : int32_t {
   kMachineUpdate = 2,  // capacity change (recognized, not replayed)
 };
 
+// Resource-request encoding shared by the synthetic emitter and the replay
+// driver: the trace normalizes requests and capacities to [0, 1] of a full
+// machine, so the emitter divides by these full-machine scales and the
+// driver multiplies back.
+constexpr double kTraceFullMachineBandwidthMbps = 10'000.0;  // 10 Gbps NIC
+constexpr double kTraceFullMachineInputBytes = 16e9;
+
 // One row of either table. Missing CSV fields parse as 0; resource
 // requests/capacities are normalized to [0, 1] of a full machine as in the
 // published trace (the replay driver scales them to slots/bytes/mbps).

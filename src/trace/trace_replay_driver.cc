@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/base/check.h"
+#include "src/sim/fault_injector.h"
 
 namespace firmament {
 
@@ -21,7 +22,7 @@ constexpr auto kDrainPoll = std::chrono::milliseconds(1);
 TraceReplayDriver::TraceReplayDriver(SchedulerService* service, TraceReplayOptions options)
     : service_(service),
       options_(options),
-      feedback_(options.backoff_base_us, options.backoff_cap_us) {
+      feedback_(FaultInjectorParams{}.backoff_base_us, FaultInjectorParams{}.backoff_cap_us) {
   CHECK_GT(options_.time_scale, 0.0);
   CHECK_GT(options_.slots_at_full_capacity, 0);
   service_->set_on_admitted(
@@ -174,6 +175,13 @@ void TraceReplayDriver::HandleTaskEvent(const TraceEvent& event) {
   const uint64_t key = Key(event.job_id, event.task_index);
   switch (event.code) {
     case kTaskSubmit: {
+      // Inverse of the emitter's request encoding. Rounded, not truncated:
+      // the emitter's division is inexact, so e.g. 389 Mbps reads back as
+      // 388.99999999999994.
+      TaskDescriptor task;
+      task.input_size_bytes = std::llround(event.ram_request * kTraceFullMachineInputBytes);
+      task.bandwidth_request_mbps =
+          std::llround(event.cpu_request * kTraceFullMachineBandwidthMbps);
       bool fresh = false;
       {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -181,10 +189,8 @@ void TraceReplayDriver::HandleTaskEvent(const TraceEvent& event) {
           Lineage lineage;
           lineage.type = event.scheduling_class >= 3 ? JobType::kService : JobType::kBatch;
           lineage.priority = event.priority;
-          lineage.input_bytes =
-              static_cast<int64_t>(event.ram_request * options_.input_bytes_scale);
-          lineage.bandwidth_mbps =
-              static_cast<int64_t>(event.cpu_request * options_.bandwidth_scale_mbps);
+          lineage.input_bytes = task.input_size_bytes;
+          lineage.bandwidth_mbps = task.bandwidth_request_mbps;
           lineages_.emplace(key, lineage);
           fresh = true;
         }
@@ -205,11 +211,6 @@ void TraceReplayDriver::HandleTaskEvent(const TraceEvent& event) {
         batch_.type = event.scheduling_class >= 3 ? JobType::kService : JobType::kBatch;
         batch_.priority = event.priority;
       }
-      TaskDescriptor task;
-      task.input_size_bytes =
-          static_cast<int64_t>(event.ram_request * options_.input_bytes_scale);
-      task.bandwidth_request_mbps =
-          static_cast<int64_t>(event.cpu_request * options_.bandwidth_scale_mbps);
       batch_.tasks.push_back(task);
       batch_.keys.push_back(key);
       return;
@@ -300,8 +301,7 @@ void TraceReplayDriver::HandleMachineEvent(const TraceEvent& event) {
                  event.cpu_capacity * options_.slots_at_full_capacity)));
       spec.nic_bandwidth_mbps = std::max<int64_t>(
           1, static_cast<int64_t>(std::llround(
-                 event.cpu_capacity *
-                 static_cast<double>(options_.full_machine_bandwidth_mbps))));
+                 event.cpu_capacity * kTraceFullMachineBandwidthMbps)));
       // Blocks until the loop mints the id; racks are service-managed (the
       // trace has no topology).
       MachineId id = service_->AddMachine(kInvalidRackId, spec);
@@ -439,12 +439,6 @@ TraceReplayReport TraceReplayDriver::Replay(MergedTraceStream* stream) {
       break;
     }
     std::this_thread::sleep_for(kDrainPoll);
-  }
-  {
-    const ServiceCounters counters = service_->counters();
-    report_.template_hits = counters.template_hits;
-    report_.template_misses = counters.template_misses;
-    report_.template_validation_failures = counters.template_validation_failures;
   }
   return report_;
 }

@@ -57,15 +57,10 @@ struct TraceReplayOptions {
   SimTime horizon = 0;
   // Machine scaling: trace capacities are normalized [0, 1] of a full
   // machine; a capacity-c machine gets max(1, round(c * slots)) slots and
-  // c * bandwidth of NIC.
+  // c * kTraceFullMachineBandwidthMbps of NIC. Requests decode with the
+  // same full-machine scales the emitter encodes with (trace_event.h), and
+  // kill-and-resubmit backs off with the FaultInjectorParams defaults.
   int slots_at_full_capacity = 12;
-  int64_t full_machine_bandwidth_mbps = 10'000;
-  // Request decoding (inverse of the synthetic emitter's encoding).
-  double input_bytes_scale = 16e9;
-  double bandwidth_scale_mbps = 10'000.0;
-  // Kill-and-resubmit backoff for lineage attempt n: min(base*2^(n-1), cap).
-  SimTime backoff_base_us = 100'000;
-  SimTime backoff_cap_us = 10'000'000;
   // After the stream ends, wait at most this long (wall time) for in-flight
   // resubmit -> admit -> place -> complete chains to drain.
   uint64_t max_drain_wall_ms = 30'000;
@@ -99,11 +94,6 @@ struct TraceReplayReport {
   uint64_t completions_delivered = 0;
   uint64_t deferred_kills = 0;  // kills that waited for the lineage's placement
   bool drain_timed_out = false;
-  // Placement-template fast path (from the scheduler's cache at replay end;
-  // zero unless the scheduler was built with enable_templates).
-  uint64_t template_hits = 0;
-  uint64_t template_misses = 0;
-  uint64_t template_validation_failures = 0;
 
   // Sum of the per-event buckets; the zero-event-loss identity is
   // accounted() == events_consumed.

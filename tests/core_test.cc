@@ -477,8 +477,30 @@ TEST(SchedulerTest, CompletionFreesSlotsForWaitingTasks) {
   SchedulerRoundResult result = scheduler.RunSchedulingRound(11 * kSec);
   EXPECT_EQ(result.tasks_placed, 1u);
   EXPECT_EQ(cluster.task(waiting).state, TaskState::kRunning);
-  // Placement latency (11s) was recorded for the waiting task.
-  EXPECT_NEAR(scheduler.placement_latency().Max(), 11.0, 0.01);
+}
+
+TEST(SchedulerTest, CompletedJobsAreForgotten) {
+  ClusterState cluster;
+  LoadSpreadingPolicy policy(&cluster);
+  FirmamentScheduler scheduler(&cluster, &policy);
+  BuildCluster(&cluster, 1, 2, {.slots = 2}, &scheduler);
+  SimTime now = 0;
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    JobId job = scheduler.SubmitJob(JobType::kBatch, 0, MakeTasks(3), now);
+    std::vector<TaskId> tasks = cluster.job(job).tasks;
+    now += kSec;
+    ASSERT_EQ(scheduler.RunSchedulingRound(now).tasks_placed, 3u) << "cycle " << cycle;
+    for (TaskId task : tasks) {
+      EXPECT_TRUE(scheduler.CompleteTask(task, now));
+    }
+    EXPECT_FALSE(scheduler.CompleteTask(tasks[0], now));  // stale duplicate
+    now += kSec;
+    scheduler.RunSchedulingRound(now);
+  }
+  // Job descriptors go with their last task: memory is O(live), not
+  // O(jobs ever submitted).
+  EXPECT_EQ(cluster.num_tasks(), 0u);
+  EXPECT_EQ(cluster.num_jobs(), 0u);
 }
 
 TEST(SchedulerTest, MachineFailureEvictsAndReschedules) {

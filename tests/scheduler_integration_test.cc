@@ -776,8 +776,7 @@ TEST(FaultInjectorTest, SeededRunsAreDeterministicAndCoherent) {
 // The race's cost-scaling leg must run on a persistent worker: one thread
 // ever, no matter how many rounds raced (the former implementation spawned
 // and joined a std::thread per round, putting thread creation on the
-// placement-latency critical path). dispatch_us records the handoff that
-// replaced the spawn.
+// placement-latency critical path).
 TEST(RacingSolverTest, RaceReusesOnePersistentWorkerAcrossRounds) {
   auto stack = MakeStack(Policy::kLoadSpreading, 2, 4, 4, SolverMode::kRace);
   EXPECT_EQ(stack->scheduler->solver().worker_spawns(), 0u) << "no race run yet";
@@ -794,9 +793,6 @@ TEST(RacingSolverTest, RaceReusesOnePersistentWorkerAcrossRounds) {
     EXPECT_EQ(stack->scheduler->solver().worker_spawns(), 1u)
         << "round " << round << " must reuse the round-0 worker";
   }
-  // The handoff latency is reported every round (it may legitimately be 0µs
-  // on a fast wakeup, so only presence-of-field semantics are asserted via
-  // the round stats carrying the cost-scaling leg).
   EXPECT_FALSE(stack->scheduler->solver().last_round().winner_algorithm.empty());
 }
 

@@ -9,6 +9,7 @@
 #include "src/core/load_spreading_policy.h"
 #include "src/core/quincy_policy.h"
 #include "src/sim/block_store.h"
+#include "src/sim/fault_injector.h"
 #include "src/sim/network_model.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace_generator.h"
@@ -299,6 +300,113 @@ TEST(SimulatorTest, ChargesSolverRuntimeToClock) {
   // Placement latency must include the charged solver runtime (>= ~some ms
   // at 1e4 scale, and strictly > 0 despite instant solving).
   EXPECT_GT(metrics.placement_latency_seconds.Min(), 0.0);
+}
+
+TEST(SimulatorTest, RecordsPlacementLatencyAndSolverRuntimeSamples) {
+  ClusterState cluster;
+  LoadSpreadingPolicy policy(&cluster);
+  FirmamentScheduler scheduler(&cluster, &policy);
+  RackId rack = cluster.AddRack();
+  scheduler.AddMachine(rack, {.slots = 1});
+  SimulatorParams params;
+  params.duration = 60 * kSec;
+  params.solver_charge_scale = 0.0;  // every round applies 1 us after it starts
+  params.min_round_interval = 0;
+  ClusterSimulator sim(&scheduler, &cluster, nullptr, params);
+  // Two 10 s tasks on one slot: the second waits for the first to finish.
+  TraceJobSpec job;
+  job.arrival = kSec;
+  job.task_runtimes = {10 * kSec, 10 * kSec};
+  job.task_input_bytes = {0, 0};
+  job.task_bandwidth_mbps = {0, 0};
+  sim.LoadTrace({job});
+  SimulationMetrics metrics = sim.Run();
+  ASSERT_EQ(metrics.tasks_placed, 2u);
+  ASSERT_EQ(metrics.placement_latency_seconds.count(), 2u);
+  EXPECT_NEAR(metrics.placement_latency_seconds.Min(), 0.0, 0.01);
+  EXPECT_NEAR(metrics.placement_latency_seconds.Max(), 10.0, 0.01);
+  // One solver-runtime sample per started round.
+  EXPECT_EQ(metrics.algorithm_runtime_seconds.count(), metrics.rounds);
+}
+
+TEST(SimulatorTest, TemplateInstallsRecordZeroPlacementLatency) {
+  ClusterState cluster;
+  LoadSpreadingPolicy policy(&cluster);
+  FirmamentSchedulerOptions options;
+  options.enable_templates = true;
+  FirmamentScheduler scheduler(&cluster, &policy, options);
+  RackId rack = cluster.AddRack();
+  for (int m = 0; m < 4; ++m) {
+    scheduler.AddMachine(rack, {.slots = 2});
+  }
+  SimulatorParams params;
+  params.duration = 60 * kSec;
+  params.solver_charge_scale = 0.0;
+  params.min_round_interval = kSec;
+  ClusterSimulator sim(&scheduler, &cluster, nullptr, params);
+  // The same job shape twice, the second after the first finished: the
+  // solver places the first, the template cache installs the second.
+  TraceJobSpec job;
+  job.task_runtimes = {2 * kSec, 2 * kSec};
+  job.task_input_bytes = {0, 0};
+  job.task_bandwidth_mbps = {0, 0};
+  job.arrival = kSec;
+  TraceJobSpec again = job;
+  again.arrival = 10 * kSec;
+  sim.LoadTrace({job, again});
+  SimulationMetrics metrics = sim.Run();
+  ASSERT_EQ(scheduler.template_stats().hits, 1u);
+  ASSERT_EQ(metrics.tasks_placed, 4u);
+  ASSERT_EQ(metrics.placement_latency_seconds.count(), 4u);
+  // Solver placements land 1 us after their round starts; installs at 0.
+  EXPECT_DOUBLE_EQ(metrics.placement_latency_seconds.CdfAt(0.0), 0.5);
+  EXPECT_EQ(metrics.tasks_completed, 4u);
+}
+
+TEST(SimulatorTest, TemplateInstalledResubmissionsRunToCompletion) {
+  // Killed tasks come back as single-task jobs, whose shape the template
+  // cache soon knows: an installed resubmission must run and complete like
+  // any other placement instead of holding its slot forever.
+  ClusterState cluster;
+  LoadSpreadingPolicy policy(&cluster);
+  FirmamentSchedulerOptions options;
+  options.solver.mode = SolverMode::kCostScalingOnly;
+  options.enable_templates = true;
+  FirmamentScheduler scheduler(&cluster, &policy, options);
+  for (int r = 0; r < 2; ++r) {
+    RackId rack = cluster.AddRack();
+    for (int m = 0; m < 10; ++m) {
+      scheduler.AddMachine(rack, {.slots = 6});
+    }
+  }
+  TraceGeneratorParams trace_params;
+  trace_params.num_machines = 20;
+  trace_params.slots_per_machine = 6;
+  trace_params.tasks_per_machine = 4;
+  trace_params.max_job_tasks = 30;
+  trace_params.batch_runtime_log_mean = 2.0;
+  trace_params.batch_runtime_log_sigma = 0.6;
+  trace_params.service_task_fraction = 0.0;
+  TraceGenerator generator(trace_params);
+  FaultInjectorParams fault_params;
+  fault_params.task_kill_rate = 0.5;
+  FaultInjector injector(fault_params);
+  SimulatorParams params;
+  params.duration = 90 * kSec;
+  params.solver_charge_scale = 0.0;
+  ClusterSimulator sim(&scheduler, &cluster, nullptr, params);
+  sim.SetFaultInjector(&injector);
+  sim.LoadTrace(generator.Generate(params.duration));
+  SimulationMetrics metrics = sim.Run();
+  ASSERT_GT(metrics.tasks_resubmitted, 0u);
+  ASSERT_GT(scheduler.template_stats().hits, 0u);
+  for (TaskId task : cluster.LiveTasks()) {
+    const TaskDescriptor& desc = cluster.task(task);
+    if (desc.state == TaskState::kRunning) {
+      EXPECT_GE(desc.placed_time + desc.runtime, params.duration) << "task " << task;
+    }
+  }
+  EXPECT_EQ(metrics.placement_latency_seconds.count(), metrics.tasks_placed);
 }
 
 TEST(SimulatorTest, DeterministicMetricCountsForSeed) {

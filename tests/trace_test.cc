@@ -10,9 +10,11 @@
 //    every consumed event in exactly one report bucket, even on malformed,
 //    truncated, or out-of-order input, without ever CHECK-aborting.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "src/core/load_spreading_policy.h"
 #include "src/core/scheduler.h"
 #include "src/service/scheduler_service.h"
+#include "src/sim/trace_generator.h"
 #include "src/trace/synthetic_trace.h"
 #include "src/trace/trace_event.h"
 #include "src/trace/trace_reader.h"
@@ -262,12 +265,27 @@ TEST(TraceParserTest, MergedStreamOrdersMachineEventsFirstAtTies) {
 // End-to-end replay through the SchedulerService.
 // ---------------------------------------------------------------------------
 
+// (input bytes, bandwidth) of a task descriptor.
+using TaskRequest = std::pair<int64_t, int64_t>;
+
+// Load spreading that also records the request of every task entering the
+// graph, i.e. the descriptor the service admitted.
+class AdmissionRecordingPolicy : public LoadSpreadingPolicy {
+ public:
+  using LoadSpreadingPolicy::LoadSpreadingPolicy;
+  void OnTaskAdded(const TaskDescriptor& task) override {
+    admitted.emplace_back(task.input_size_bytes, task.bandwidth_request_mbps);
+  }
+  std::vector<TaskRequest> admitted;
+};
+
 struct ReplayRun {
   TraceReplayReport report;
   ServiceCounters counters;
   SyntheticTraceCounts trace;
   TraceParseStats parse;
   size_t live_lineages = 0;
+  std::vector<TaskRequest> admitted;
 };
 
 ReplayRun RunSmallReplay(const SyntheticTraceParams& params, const std::string& tag) {
@@ -278,7 +296,7 @@ ReplayRun RunSmallReplay(const SyntheticTraceParams& params, const std::string& 
   run.trace = emitter.WriteCsv(machine_csv, task_csv);
 
   ClusterState cluster;
-  LoadSpreadingPolicy policy(&cluster);
+  AdmissionRecordingPolicy policy(&cluster);
   FirmamentSchedulerOptions scheduler_options;
   scheduler_options.solver.mode = SolverMode::kCostScalingOnly;
   FirmamentScheduler scheduler(&cluster, &policy, scheduler_options);
@@ -303,6 +321,7 @@ ReplayRun RunSmallReplay(const SyntheticTraceParams& params, const std::string& 
   run.counters = service.counters();
   run.parse = stream.stats();
   run.live_lineages = driver.live_lineages();
+  run.admitted = std::move(policy.admitted);
 
   std::remove(machine_csv.c_str());
   std::remove(task_csv.c_str());
@@ -351,6 +370,33 @@ TEST(TraceReplayTest, FaultFreeReplayPlacesAndCompletesEverything) {
   EXPECT_GT(run.report.task_updates_ignored, 0u);
   // Only service tasks (no finish row inside the window) stay live.
   EXPECT_GT(run.live_lineages, 0u);
+}
+
+TEST(TraceReplayTest, AdmittedTasksCarryTheGeneratorsRequests) {
+  // Emit -> parse -> replay decodes each SUBMIT row's normalized requests
+  // back into the input bytes and bandwidth the workload generator drew.
+  SyntheticTraceParams params = SmallTraceParams();
+  ReplayRun run = RunSmallReplay(params, "replay_requests");
+  CheckReplayInvariants(run);
+
+  TraceGenerator generator(params.workload);
+  FaultInjector injector(params.faults);
+  std::vector<FaultSpec> faults;
+  std::vector<TaskRequest> expected;
+  for (const TraceJobSpec& job : generator.Generate(params.horizon, &injector, &faults)) {
+    for (size_t i = 0; i < job.task_runtimes.size(); ++i) {
+      expected.emplace_back(job.task_input_bytes[i], job.task_bandwidth_mbps[i]);
+    }
+  }
+  ASSERT_EQ(expected.size(), run.trace.lineages);
+  // Fault-free: every lineage is admitted exactly once.
+  std::vector<TaskRequest> admitted = run.admitted;
+  std::sort(expected.begin(), expected.end());
+  std::sort(admitted.begin(), admitted.end());
+  EXPECT_EQ(admitted, expected);
+  // The workload exercises both fields with non-trivial values.
+  EXPECT_GT(expected.back().first, 0);
+  EXPECT_GT(expected.front().second, 0);
 }
 
 TEST(TraceReplayTest, FaultStormReplayStaysAccounted) {
